@@ -24,6 +24,7 @@ from .errors import (
     GeneratorTooLarge,
     IncompatibleParams,
     IndexOutOfRange,
+    InternalInconsistency,
     InvalidTuple,
     MonoidError,
     NoSubcollection,
@@ -42,6 +43,7 @@ from .factorizations import (
     elasticity,
     factorizations,
     find_proper_subcollection,
+    iter_lengths,
     length_set,
     length_stats_range,
     max_length,

@@ -17,9 +17,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import arithmetical as ar
-from .errors import MonoidError
+from .errors import InternalInconsistency, MonoidError
 from .factorizations import length_stats_range
 from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
 from .profile import build_profile, compare_profiles, contains_elasticity, profile_to_json
@@ -131,7 +132,7 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _arithmetical_witness(p1, p2, verdict):
+def _arithmetical_witness(p1, p2):
     """Witness for two arithmetic progressions with unequal value sets."""
     s1 = p1.step_bound()
     s2 = p2.step_bound()
@@ -144,9 +145,7 @@ def _arithmetical_witness(p1, p2, verdict):
             if v1 != v2:
                 return min(v1, v2)
     # same d and a/k: exactly one side has gcd(a, k) >= 2 and carries extras
-    from math import gcd as _gcd
-
-    side = p1 if _gcd(p1.a, p1.k) >= 2 else p2
+    side = p1 if gcd(p1.a, p1.k) >= 2 else p2
     return ar.tuple_elasticity(side, ar.maximal_coprime_tuple(side))
 
 
@@ -171,7 +170,7 @@ def cmd_compare(args) -> int:
         if equal:
             print("EQUAL")
         else:
-            witness = _arithmetical_witness(p1, p2, verdict)
+            witness = _arithmetical_witness(p1, p2)
             prof1 = build_profile(S1)
             prof2 = build_profile(S2)
             if contains_elasticity(prof1, witness)[0] == contains_elasticity(prof2, witness)[0]:
@@ -194,6 +193,9 @@ def cmd_profile(args) -> int:
     try:
         S = _parse_generators(args.generators)
         profile = build_profile(S)
+    except InternalInconsistency as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except MonoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,3 +63,7 @@ class SingleGenerator(MonoidError):
 
 class IndexOutOfRange(MonoidError):
     """Sequence index or step out of range."""
+
+
+class InternalInconsistency(MonoidError):
+    """A result broke an invariant the library relies on (a bug, not bad input)."""

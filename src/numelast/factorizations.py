@@ -11,10 +11,16 @@ are never extended past the thresholds.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationLimitExceeded, NoSubcollection, NotInMonoid
+from .errors import (
+    EnumerationLimitExceeded,
+    InternalInconsistency,
+    NoSubcollection,
+    NotInMonoid,
+)
 from .monoid import NumericalMonoid
 
 #: factorizations() refuses elements with n * g_1 above this product.
@@ -101,8 +107,10 @@ def _compute_tables(S: NumericalMonoid) -> _LengthTables:
             frob = n
     # the windows must clear the Frobenius number, else the O(1) steps
     # could land outside the monoid
-    assert frob + g1 <= t.max_limit, "membership gap inside the max window"
-    assert frob + g1 <= t.min_limit, "membership gap inside the min window"
+    if frob + g1 > t.max_limit:
+        raise InternalInconsistency(f"membership gap inside the max window of {S}")
+    if frob + g1 > t.min_limit:
+        raise InternalInconsistency(f"membership gap inside the min window of {S}")
     t.frobenius = frob
     t.max_table = maxt
     t.min_table = mint
@@ -226,20 +234,44 @@ def elasticity(S: NumericalMonoid, n: int) -> Fraction:
     return Fraction(_max_from(t, n), _min_from(t, n))
 
 
+def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """(n, M(n), m(n)) as ints for every monoid element in [lo, hi], ascending.
+
+    Reads the tables directly: inside a window by index, past it by the same
+    O(1) step back into the window that max_length and min_length take.
+    """
+    t = _tables(S)
+    start = max(lo, 0)
+    if len(t.gens) == 1:
+        for n in range(start, hi + 1):
+            yield n, n, n
+        return
+    g1, gk = t.g1, t.gk
+    max_limit, min_limit = t.max_limit, t.min_limit
+    maxt, mint = t.max_table, t.min_table
+    for n in range(start, hi + 1):
+        if n <= min_limit:
+            small = mint[n]
+            if small < 0:
+                continue
+        else:
+            # past the min window, which clears the Frobenius number
+            steps = (n - min_limit + gk - 1) // gk
+            small = mint[n - steps * gk] + steps
+        if n <= max_limit:
+            big = maxt[n]
+        else:
+            steps = (n - max_limit + g1 - 1) // g1
+            big = maxt[n - steps * g1] + steps
+        yield n, big, small
+
+
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:
     """LengthStats for every monoid element in [lo, hi], ascending."""
-    t = _tables(S)
-    out: list[LengthStats] = []
-    for n in range(max(lo, 0), hi + 1):
-        if not _is_member(t, n):
-            continue
-        if n == 0:
-            out.append(LengthStats(0, 0, 0, Fraction(1)))
-            continue
-        big = _max_from(t, n)
-        small = _min_from(t, n)
-        out.append(LengthStats(n, big, small, Fraction(big, small)))
-    return out
+    return [
+        LengthStats(n, big, small, Fraction(big, small) if n else Fraction(1))
+        for n, big, small in iter_lengths(S, lo, hi)
+    ]
 
 
 def find_proper_subcollection(k: int, c: list[int]) -> set[int]:

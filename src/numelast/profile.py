@@ -12,11 +12,13 @@ membership of any rational is decidable by solving each sequence for t.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
-from .errors import IndexOutOfRange, SingleGenerator
-from .factorizations import _is_member, _max_from, _min_from, _tables, length_stats_range
+from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator
+from .factorizations import iter_lengths
 from .monoid import NumericalMonoid, frobenius
 
 
@@ -85,19 +87,30 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     g1, gk, gk1 = gens[0], gens[-1], gens[-2]
     base = gk1 * gk
     period = g1 * gk
-    assert frobenius(S) < base, "window must lie above the Frobenius number"
-    finite: dict[Fraction, int] = {}
-    for st in length_stats_range(S, 1, base + period - 1):
-        finite.setdefault(st.elasticity, st.n)
-    limit = Fraction(gk, g1)
-    t = _tables(S)
+    if frobenius(S) >= base:
+        raise InternalInconsistency(f"the window of {S} does not lie above the Frobenius number")
+    first: dict[tuple[int, int], int] = {}  # (M, m) -> smallest element with those lengths
+    for n, big, small in iter_lengths(S, 1, base - 1):
+        first.setdefault((big, small), n)
     seqs = []
-    for n0 in range(base, base + period):
-        assert _is_member(t, n0)
-        big = _max_from(t, n0)
-        small = _min_from(t, n0)
-        seqs.append(TailSequence(n0, big, small, Fraction(big, small) == limit))
-    return ElasticityProfile(S, base, period, tuple(sorted(finite.items())), tuple(seqs))
+    for n, big, small in iter_lengths(S, base, base + period - 1):
+        first.setdefault((big, small), n)
+        seqs.append(TailSequence(n, big, small, big * g1 == small * gk))
+    if len(seqs) != period:
+        raise InternalInconsistency(f"the window of {S} holds a non-member")
+    reduced: dict[tuple[int, int], int] = {}  # reduced M/m -> smallest witness
+    for (big, small), n in first.items():  # in increasing n
+        g = gcd(big, small)
+        reduced.setdefault((big // g, small // g), n)
+    # distinct values with denominators <= D differ by at least 1/D^2, so
+    # floor(value * K) with K > D^2 orders them exactly
+    K = max(den for _, den in reduced) ** 2 + 1
+    finite = sorted(reduced.items(), key=lambda item: item[0][0] * K // item[0][1])
+    return ElasticityProfile(
+        S, base, period,
+        tuple((Fraction(num, den), n) for (num, den), n in finite),
+        tuple(seqs),
+    )
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
@@ -141,17 +154,49 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     return False, None
 
 
-def _candidate_values(profile: ElasticityProfile, t_max: int) -> list[Fraction]:
-    values = {value for value, _ in profile.finite_part}
-    gens = profile.monoid.generators
-    g1, gk = gens[0], gens[-1]
-    for seq in profile.sequences:
-        if seq.constant:
-            values.add(profile.limit)
-            continue
+def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[int, int]]:
+    """The finite part and every tail value up to step t_max, as (num, den) pairs.
+
+    Sequences that start from the same (M0, m0) take the same values, so each
+    start is walked once.  Tail pairs are not reduced; callers compare them
+    through exact keys.
+    """
+    for value, _ in profile.finite_part:
+        yield value.numerator, value.denominator
+    g1, gk = profile.monoid.g1, profile.monoid.gk
+    for big, small in {(seq.max0, seq.min0) for seq in profile.sequences}:
         for t in range(t_max + 1):
-            values.add(Fraction(seq.max0 + t * gk, seq.min0 + t * g1))
-    return sorted(values)
+            yield big + t * gk, small + t * g1
+
+
+def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
+    """An upper bound on the denominators of _bounded_values."""
+    finite = max(value.denominator for value, _ in profile.finite_part)
+    tail = max(seq.min0 for seq in profile.sequences) + t_max * profile.monoid.g1
+    return max(finite, tail)
+
+
+def _first_miss(
+    src: ElasticityProfile, dst: ElasticityProfile, K: int, t_max: int
+) -> Fraction | None:
+    """Smallest bounded value of ``src`` outside the elasticity set of ``dst``.
+
+    Each value v is keyed by floor(v * K), which is exact and order-preserving
+    when K exceeds the square of every denominator involved.  Every bounded
+    value of ``dst`` lies in its set, so only the values missing from that
+    bounded set need a membership check, in increasing order.
+    """
+    dst_keys = {num * K // den for num, den in _bounded_values(dst, t_max)}
+    missing = {
+        num * K // den: (num, den)
+        for num, den in _bounded_values(src, t_max)
+        if num * K // den not in dst_keys
+    }
+    for key in sorted(missing):
+        value = Fraction(*missing[key])
+        if not contains_elasticity(dst, value)[0]:
+            return value
+    return None
 
 
 def _identity_holds(
@@ -217,21 +262,25 @@ def compare_profiles(
 ) -> ComparisonVerdict:
     """Compare the elasticity sets of two monoids.
 
-    Reports not_equal with the smallest witness found when the limits differ
-    or a bounded cross-check finds a value on exactly one side; reports equal
-    only when every tail sequence of each side is affinely aligned into the
-    other (a complete proof); otherwise unknown at the checked bound.
+    Reports not_equal when the limits differ (the witness is the larger
+    limit) or when a bounded value lies outside the other set.  A side's
+    bounded values are its finite part plus its tail values up to step
+    ``t_max``; the witness is the smallest value in the symmetric difference
+    of the two bounded value sets that the other side's set lacks, taken
+    from the first monoid's bounded values when one qualifies, else from the
+    second's.  Reports equal only when every tail sequence of each side is
+    affinely aligned into the other (a complete proof); otherwise unknown at
+    the checked bound.
     """
     p1 = build_profile(S1)
     p2 = build_profile(S2)
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
-    for v in _candidate_values(p1, t_max):
-        if not contains_elasticity(p2, v)[0]:
-            return ComparisonVerdict("not_equal", v, t_max, None)
-    for v in _candidate_values(p2, t_max):
-        if not contains_elasticity(p1, v)[0]:
-            return ComparisonVerdict("not_equal", v, t_max, None)
+    K = max(_max_denominator(p1, t_max), _max_denominator(p2, t_max)) ** 2 + 1
+    for src, dst in ((p1, p2), (p2, p1)):
+        witness = _first_miss(src, dst, K, t_max)
+        if witness is not None:
+            return ComparisonVerdict("not_equal", witness, t_max, None)
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
     if forward is not None and backward is not None:

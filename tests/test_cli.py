@@ -165,6 +165,16 @@ def test_profile_subcommand(capsys):
     assert len(doc["sequences"]) == 15
 
 
+def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
+    # a broken window invariant is a library fault (exit 1), not bad input (2)
+    profile_module = sys.modules["numelast.profile"]
+    monkeypatch.setattr(profile_module, "frobenius", lambda S: S.generators[-2] * S.gk)
+    code, out, err = run(capsys, "profile", "3,5")
+    assert code == 1 and out == "" and "error" in err
+    code, _, _ = run(capsys, "profile", "1")
+    assert code == 2  # <1> has no tails: still an input error
+
+
 def test_verify_core_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "core")
     assert code == 0

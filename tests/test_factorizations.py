@@ -11,6 +11,7 @@ from numelast import (
     elasticity,
     factorizations,
     find_proper_subcollection,
+    iter_lengths,
     length_set,
     length_stats_range,
     max_elasticity,
@@ -167,6 +168,25 @@ def test_length_stats_range_matches_pointwise_ops():
         assert st.max_len == max_length(S, st.n)
         assert st.min_len == min_length(S, st.n)
         assert st.elasticity == elasticity(S, st.n)
+
+
+def test_iter_lengths_matches_length_stats_range():
+    # ranges that start below 0, start past both M/m windows, or hold nothing
+    for gens in [(3, 5, 7), (6, 10, 13, 14), (7, 12, 17, 22), (20, 21, 45), (1,)]:
+        S = new_monoid(gens)
+        g1, gk, gk1 = gens[0], gens[-1], gens[max(len(gens) - 2, 0)]
+        past = max((g1 - 1) * gk, (gk - 1) * gk1) + 1
+        for lo, hi in [(-25, 90), (past, past + 3 * g1 * gk), (past + 5, past + 4), (-3, -1)]:
+            rows = list(iter_lengths(S, lo, hi))
+            stats = length_stats_range(S, lo, hi)
+            assert rows == [(st.n, st.max_len, st.min_len) for st in stats]
+            for n, big, small in rows:
+                assert (big, small) == (max_length(S, n), min_length(S, n))
+            assert [st.elasticity for st in stats] == [elasticity(S, n) for n, _, _ in rows]
+        assert list(iter_lengths(S, past + 5, past + 4)) == []
+        assert list(iter_lengths(S, -3, -1)) == []
+    assert list(iter_lengths(S357, 4, 4)) == []  # a gap of <3,5,7>
+    assert list(iter_lengths(S357, -5, 6)) == [(0, 0, 0), (3, 1, 1), (5, 1, 1), (6, 2, 2)]
 
 
 def test_subcollection_examples():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,28 @@ def test_sequences_cover_window_and_members():
     for seq in prof2.sequences:
         assert seq.max0 == max_length(S, seq.n0)
         assert seq.min0 == min_length(S, seq.n0)
+
+
+def test_window_check_survives_optimize_flag():
+    # under python -O a Frobenius number at the window base must still raise
+    # the typed error, not slip through a stripped assert
+    code = (
+        "import sys\n"
+        "from numelast import InternalInconsistency, build_profile, new_monoid\n"
+        "profile = sys.modules['numelast.profile']\n"
+        "profile.frobenius = lambda S: S.generators[-2] * S.gk\n"
+        "try:\n"
+        "    build_profile(new_monoid([3, 5]))\n"
+        "except InternalInconsistency:\n"
+        "    print('typed', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["typed", "1"]
 
 
 def test_sequence_value_examples_and_errors():
