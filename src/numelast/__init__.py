@@ -35,9 +35,10 @@ from .errors import (
     NotInMonoid,
     SOutOfRange,
     SingleGenerator,
+    TableTooLarge,
     ZeroGenerator,
 )
-from .factorizations import (
+from .lengths import (
     Factorization,
     LengthStats,
     elasticity,
@@ -57,6 +58,7 @@ from .monoid import (
     frobenius,
     max_elasticity,
     new_monoid,
+    window_tables,
 )
 from .profile import (
     ComparisonVerdict,
@@ -75,9 +77,5 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop all cached membership and length tables."""
-    from .factorizations import clear_table_cache
-    from .monoid import clear_membership_cache
-
-    clear_table_cache()
-    clear_membership_cache()
+    """Drop every cached window table (membership, Frobenius number, M and m)."""
+    window_tables.cache_clear()

@@ -7,8 +7,8 @@ of two elasticity sets), profile (JSON tail decomposition), verify
 (runtime self-check suites).
 
 Exit codes: 0 success, 1 failed verification or internal inconsistency,
-2 invalid generators/arguments, 3 I/O failure, 4 recover on a
-non-arithmetical monoid.
+2 invalid generators/arguments or length tables over the budget, 3 I/O
+failure, 4 recover on a non-arithmetical monoid.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd
 
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
-from .factorizations import length_stats_range
+from .lengths import length_stats_range
 from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
 from .profile import build_profile, compare_profiles, contains_elasticity, profile_to_json
 from .svg import scatter_svg
@@ -60,11 +60,7 @@ def _write_output(text: str, path: str | None) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        S = _parse_generators(args.generators)
-    except MonoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    S = _parse_generators(args.generators)
     lo = args.start if args.start is not None else _default_range(S)[0]
     hi = args.stop if args.stop is not None else _default_range(S)[1]
     stats = length_stats_range(S, lo, hi)
@@ -92,11 +88,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        S = _parse_generators(args.generators)
-    except MonoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    S = _parse_generators(args.generators)
     lo = args.start if args.start is not None else 0
     hi = args.stop if args.stop is not None else _default_range(S)[1]
     stats = length_stats_range(S, lo, hi)
@@ -111,11 +103,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    try:
-        S = _parse_generators(args.generators)
-    except MonoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    S = _parse_generators(args.generators)
     params = detect_arithmetical(S)
     if params is None:
         print(f"error: {S} is not arithmetical", file=sys.stderr)
@@ -150,12 +138,8 @@ def _arithmetical_witness(p1, p2):
 
 
 def cmd_compare(args) -> int:
-    try:
-        S1 = _parse_generators(args.gens1)
-        S2 = _parse_generators(args.gens2)
-    except MonoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    S1 = _parse_generators(args.gens1)
+    S2 = _parse_generators(args.gens2)
     if len(S1.generators) == 1 or len(S2.generators) == 1:
         print("error: comparison needs at least two generators", file=sys.stderr)
         return 2
@@ -190,15 +174,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    try:
-        S = _parse_generators(args.generators)
-        profile = build_profile(S)
-    except InternalInconsistency as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MonoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profile = build_profile(_parse_generators(args.generators))
     return _write_output(profile_to_json(profile) + "\n", args.output)
 
 
@@ -255,7 +231,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InternalInconsistency as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MonoidError as exc:  # bad or too large input; commands write only at the end
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

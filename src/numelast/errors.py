@@ -67,3 +67,7 @@ class IndexOutOfRange(MonoidError):
 
 class InternalInconsistency(MonoidError):
     """A result broke an invariant the library relies on (a bug, not bad input)."""
+
+
+class TableTooLarge(MonoidError):
+    """The monoid's length tables would exceed the table budget."""

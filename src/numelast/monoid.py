@@ -1,22 +1,43 @@
-"""Numerical monoids: validated generating sets and basic membership arithmetic.
+"""Numerical monoids: validated generating sets and their windowed length tables.
 
 A numerical monoid is a co-finite additive submonoid of the nonnegative
 integers, stored here by its minimal generating set g_1 < ... < g_k with
-gcd 1.  Membership is decided by a bottom-up reachability table; large
-queries are answered by comparison with the Frobenius number (the largest
-integer outside the monoid), so tables never grow past a fixed window.
+gcd 1.  One :class:`WindowTables` object per monoid holds the maximal and
+minimal factorization lengths M(n) and m(n) up to the windows where their
+recurrences take over, and the Frobenius number (the largest integer
+outside the monoid) found while filling the min table.  Membership, the
+Frobenius number and every length query read that object, which is built
+once per generating set and kept in one bounded cache.  Normalization runs
+the same max-length fill over the raw generators.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .errors import EmptyInput, GeneratorTooLarge, NonCoprime, ZeroGenerator
+from .errors import (
+    EmptyInput,
+    GeneratorTooLarge,
+    InternalInconsistency,
+    NonCoprime,
+    TableTooLarge,
+    ZeroGenerator,
+)
 
-#: Default cap on the largest generator so reachability tables stay in memory.
+#: Default cap on the largest generator new_monoid accepts.
 MAX_GENERATOR = 10**6
+
+#: Most entries, (g_1 - 1) g_k + (g_k - 1) g_{k-1}, one monoid's tables may
+#: take (4 bytes each); larger monoids raise TableTooLarge before allocating.
+TABLE_LIMIT = 10**7
+
+#: Monoids whose tables stay cached: a comparison reads two at a time, every
+#: other caller one.
+TABLE_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,8 @@ def new_monoid(raw, *, max_generator: int = MAX_GENERATOR) -> NumericalMonoid:
     """Build the monoid generated by ``raw``.
 
     Sorts, deduplicates, and drops generators representable over the smaller
-    ones, so the result carries the minimal generating set.
+    ones, so the result carries the minimal generating set: g is kept iff its
+    only factorization over the raw set is g itself, that is iff M(g) = 1.
     """
     entries = [int(g) for g in raw]
     if not entries:
@@ -107,116 +129,113 @@ def new_monoid(raw, *, max_generator: int = MAX_GENERATOR) -> NumericalMonoid:
         )
     if gcd(*gens) != 1:
         raise NonCoprime(f"gcd of {tuple(gens)} is {gcd(*gens)}, expected 1")
-    kept: list[int] = []
-    for g in gens:
-        if not _representable(kept, g):
-            kept.append(g)
-    return NumericalMonoid(tuple(kept))
+    lengths = _max_lengths(gens, gens[-1])
+    return NumericalMonoid(tuple(g for g in gens if lengths[g] == 1))
 
 
-def _representable(gens: list[int], target: int) -> bool:
-    # bottom-up reachability over [0, target]; gens are sorted and <= target
-    if not gens:
-        return False
-    reach = bytearray(target + 1)
-    reach[0] = 1
-    for n in range(gens[0], target + 1):
+def _max_lengths(gens, limit: int) -> array:
+    """M(n) over the sorted ``gens`` for n = 0..limit; -1 where n is no
+    combination of them."""
+    # 32-bit entries; array('i') raises OverflowError if a length ever overflows
+    table = array("i", [-1]) * (limit + 1)
+    table[0] = 0
+    for n in range(1, limit + 1):
+        best = -1
         for g in gens:
             if g > n:
                 break
-            if reach[n - g]:
-                reach[n] = 1
-                break
-    return bool(reach[target])
-
-
-class _Membership:
-    """Growable reachability table for one generating set."""
-
-    __slots__ = ("gens", "reach", "_frobenius")
-
-    def __init__(self, gens: tuple[int, ...]):
-        self.gens = gens
-        self.reach = bytearray([1])
-        self._frobenius: int | None = None
-
-    def extend(self, limit: int) -> None:
-        reach = self.reach
-        gens = self.gens
-        for n in range(len(reach), limit + 1):
-            hit = 0
-            for g in gens:
-                if g > n:
-                    break
-                if reach[n - g]:
-                    hit = 1
-                    break
-            reach.append(hit)
-
-    def frobenius(self) -> int:
-        """Largest integer outside the monoid (-1 when there is none).
-
-        Scans upward until g_1 consecutive members appear; from that point
-        on every integer is a member, so the last gap seen is the answer.
-        """
-        if self._frobenius is not None:
-            return self._frobenius
-        g1, gk = self.gens[0], self.gens[-1]
-        if g1 == 1:
-            self._frobenius = -1
-            return -1
-        limit = (g1 - 1) * (gk - 1) + g1
-        while True:
-            self.extend(limit)
-            last_gap = -1
-            run = 0
-            for n, member in enumerate(self.reach):
-                if member:
-                    run += 1
-                    if run >= g1:
-                        self._frobenius = last_gap
-                        return last_gap
-                else:
-                    last_gap = n
-                    run = 0
-            limit *= 2
-
-
-_MEMBERSHIP: dict[tuple[int, ...], _Membership] = {}
-
-
-def _membership(S: NumericalMonoid) -> _Membership:
-    table = _MEMBERSHIP.get(S.generators)
-    if table is None:
-        table = _Membership(S.generators)
-        _MEMBERSHIP[S.generators] = table
+            prev = table[n - g]
+            if prev > best:
+                best = prev
+        if best >= 0:
+            table[n] = best + 1
     return table
 
 
-def clear_membership_cache() -> None:
-    _MEMBERSHIP.clear()
+class WindowTables:
+    """M(n), m(n) and the Frobenius number of one monoid, over fixed windows.
+
+    ``max_table[n]`` is M(n) for 0 <= n <= max_limit = (g_1 - 1) g_k, and
+    ``min_table[n]`` is m(n) for 0 <= n <= min_limit = (g_k - 1) g_{k-1};
+    both hold -1 outside the monoid.  Past its window each function follows
+    M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1, so it is answered by
+    stepping back into the window.  Both windows reach g_1 past the
+    Frobenius number, so a step back always lands on a member.  The tables
+    are shared through :func:`window_tables` and must not be written to.
+    """
+
+    __slots__ = (
+        "generators", "g1", "gk", "max_limit", "min_limit", "max_table", "min_table", "frobenius",
+    )
+
+    def __init__(self, generators: tuple[int, ...]):
+        g1, gk = generators[0], generators[-1]
+        # <1> has empty windows: M(n) = m(n) = n by n steps back to 0
+        max_limit = (g1 - 1) * gk
+        min_limit = (gk - 1) * generators[-2] if len(generators) > 1 else 0
+        if max_limit + min_limit > TABLE_LIMIT:
+            raise TableTooLarge(
+                f"the length tables of <{','.join(map(str, generators))}> need "
+                f"{max_limit + min_limit} entries, above the limit {TABLE_LIMIT}"
+            )
+        min_table = array("i", [-1]) * (min_limit + 1)
+        min_table[0] = 0
+        frobenius = -1
+        for n in range(1, min_limit + 1):
+            best = -1
+            for g in generators:
+                if g > n:
+                    break
+                prev = min_table[n - g]
+                if prev >= 0 and (best < 0 or prev < best):
+                    best = prev
+            if best >= 0:
+                min_table[n] = best + 1
+            else:
+                frobenius = n
+        # g_1 members in a row end every gap, so windows that reach g_1 past
+        # the last gap seen have seen the Frobenius number
+        if frobenius + g1 > min(max_limit, min_limit):
+            raise InternalInconsistency(f"membership gap inside a window of {generators}")
+        self.generators, self.g1, self.gk = generators, g1, gk
+        self.max_limit, self.min_limit = max_limit, min_limit
+        self.max_table = _max_lengths(generators, max_limit)
+        self.min_table = min_table
+        self.frobenius = frobenius
+
+    def max_length(self, n: int) -> int:
+        """M(n), or -1 when ``n`` is outside the monoid."""
+        if n <= self.max_limit:
+            return self.max_table[n] if n >= 0 else -1
+        steps = (n - self.max_limit + self.g1 - 1) // self.g1
+        return self.max_table[n - steps * self.g1] + steps
+
+    def min_length(self, n: int) -> int:
+        """m(n), or -1 when ``n`` is outside the monoid."""
+        if n <= self.min_limit:
+            return self.min_table[n] if n >= 0 else -1
+        steps = (n - self.min_limit + self.gk - 1) // self.gk
+        return self.min_table[n - steps * self.gk] + steps
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def window_tables(generators: tuple[int, ...]) -> WindowTables:
+    """The tables of the monoid with these minimal generators, built once
+    and kept while the monoid is among the TABLE_CACHE_SIZE last used."""
+    return WindowTables(generators)
 
 
 def contains(S: NumericalMonoid, n: int) -> bool:
     """True iff ``n`` is a nonnegative integer combination of the generators."""
     if n < 0:
         return False
-    if S.g1 == 1:
-        return True
-    table = _membership(S)
-    if table._frobenius is not None and n > table._frobenius:
-        return True
-    if n >= len(table.reach):
-        if n > (S.g1 - 1) * (S.gk - 1):
-            # settle the Frobenius number once instead of growing the table
-            return n > table.frobenius()
-        table.extend(n)
-    return bool(table.reach[n])
+    t = window_tables(S.generators)
+    return n > t.frobenius or t.min_table[n] >= 0
 
 
 def frobenius(S: NumericalMonoid) -> int:
     """Largest integer not in ``S``; -1 for <1> by convention."""
-    return _membership(S).frobenius()
+    return window_tables(S.generators).frobenius
 
 
 def max_elasticity(S: NumericalMonoid) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator
-from .factorizations import iter_lengths
+from .lengths import iter_lengths
 from .monoid import NumericalMonoid, frobenius
 
 

@@ -16,7 +16,7 @@ from . import arithmetical as ar
 from . import monoid as mo
 from . import profile as pr
 from .errors import NoSubcollection
-from .factorizations import (
+from .lengths import (
     elasticity as _elasticity,
     find_proper_subcollection as _find_proper_subcollection,
     length_stats_range as _length_stats_range,
@@ -175,13 +175,18 @@ def check_tuple_parametrization() -> bool:
 
 def check_tuple_monotonicity() -> bool:
     # shared row with matching c or s: slice order bounds the value order;
-    # shared (c, s): row order reverses it (asserted inside compare_tuples)
+    # shared (c, s): row order reverses it
     params = mo.ArithmeticalParams(7, 5, 3)
-    tuples = ar.enumerate_tuples(params, 10)
-    for t1 in tuples:
-        for t2 in tuples:
-            cmp = ar.compare_tuples(params, t1, t2)
-            if t1 == t2 and cmp.relation != 0:
+    values = {t: ar.tuple_elasticity(params, t) for t in ar.enumerate_tuples(params, 10)}
+    for t1, v1 in values.items():
+        for t2, v2 in values.items():
+            relation = ar.compare_tuples(params, t1, t2).relation
+            if relation != (v1 > v2) - (v1 < v2):
+                return False
+            if t1.x == t2.x and (t1.c == t2.c or t1.s == t2.s):
+                if (t1.slice_index(params) - t2.slice_index(params)) * relation < 0:
+                    return False
+            if (t1.c, t1.s) == (t2.c, t2.s) and (t1.x - t2.x) * relation > 0:
                 return False
     return True
 
@@ -202,13 +207,23 @@ def check_recovery_formulas() -> bool:
 
 
 def check_coprime_tuple_construction() -> bool:
-    params = mo.ArithmeticalParams(14, 3, 6)
-    t = ar.maximal_coprime_tuple(params)  # construction asserts its contract
+    example = mo.ArithmeticalParams(14, 3, 6)
+    t = ar.maximal_coprime_tuple(example)
     if t != ar.ElasticityTuple(7, 5, 19):
         return False
-    if ar.tuple_elasticity(params, t) != Fraction(86, 39):
+    if ar.tuple_elasticity(example, t) != Fraction(86, 39):
         return False
-    ar.maximal_coprime_tuple(mo.ArithmeticalParams(4, 1, 2))
+    # maximal, the residue congruence a'(s + 2) = 1 mod k', and coprime coordinates
+    for params in (example, mo.ArithmeticalParams(4, 1, 2)):
+        t = ar.maximal_coprime_tuple(params)
+        a, k = params.a, params.k
+        g = gcd(a, k)
+        if not ar.is_valid_tuple(params, t) or not t.is_maximal(params):
+            return False
+        if (a // g * (t.s + 2)) % (k // g) != 1 % (k // g):
+            return False
+        if gcd(t.c * a + t.x, t.c * k + t.s) != 1:
+            return False
     return True
 
 
@@ -218,7 +233,11 @@ def check_embedding_preserves_values() -> bool:
     p_to = mo.ArithmeticalParams(14, 3, 6)
     pool = ar.enumerate_tuples(p_from, 40)
     for t in rng.sample(pool, 60):
-        ar.phi_embed(p_from, p_to, t)  # value preservation asserted inside
+        image = ar.phi_embed(p_from, p_to, t)
+        if not ar.is_valid_tuple(p_to, image):
+            return False
+        if ar.tuple_elasticity(p_to, image) != ar.tuple_elasticity(p_from, t):
+            return False
     return True
 
 

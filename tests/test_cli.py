@@ -1,9 +1,13 @@
+import functools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numelast
 from numelast.cli import main
-from numelast.factorizations import _compute_tables
+from numelast.monoid import WindowTables
 
 
 def run(capsys, *args):
@@ -184,20 +188,45 @@ def test_verify_core_suite(capsys):
 
 def test_verify_negative_control(capsys, monkeypatch):
     # corrupt one table entry: the core suite must notice and exit nonzero
-    def corrupted(S):
-        t = _compute_tables(S)
+    @functools.cache
+    def corrupted(generators):
+        t = WindowTables(generators)
         if len(t.max_table) > 20:
             t.max_table[20] = max(t.max_table[20] + 1, 1)
         return t
 
-    tables_module = sys.modules["numelast.factorizations"]
-    numelast.clear_caches()
-    monkeypatch.setattr(tables_module, "_compute_tables", corrupted)
-    try:
-        code = main(["verify", "--suite", "core"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "FAIL" in out
-    finally:
-        monkeypatch.undo()
-        numelast.clear_caches()
+    monkeypatch.setattr(numelast.lengths, "window_tables", corrupted)
+    code = main(["verify", "--suite", "core"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL core.length_tables_match_enumeration" in out
+
+
+def test_verify_arith_fails_under_optimize_flag():
+    # under python -O the library's own asserts are gone, so the check itself
+    # must notice an embedding that changes the value
+    code = (
+        "import sys\n"
+        "import numelast.arithmetical as ar\n"
+        "from numelast.cli import main\n"
+        "def wrong(p_from, p_to, t):\n"
+        "    if ar.tuple_elasticity(p_from, t) == 1:\n"
+        "        return ar.ElasticityTuple(1, 0, 0)\n"
+        "    return ar.ElasticityTuple(0, 0, 0)\n"
+        "ar.phi_embed = wrong\n"
+        "sys.exit(main(['verify', '--suite', 'arith']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL arith.embedding_preserves_values" in done.stdout.splitlines()
+
+
+def test_table_budget_exits_2(capsys):
+    code, out, err = run(capsys, "stats", "9973,10007")
+    assert code == 2 and out == "" and "error" in err
+    code, out, err = run(capsys, "compare", "9973,10007", "3,5")
+    assert code == 2 and out == "" and "error" in err

@@ -1,8 +1,10 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+import numelast
 from numelast import (
     EnumerationLimitExceeded,
     NoSubcollection,
@@ -29,6 +31,15 @@ def test_factorizations_of_ten():
     facs = factorizations(S357, 10)
     assert [f.exponents for f in facs] == [(1, 0, 1), (0, 2, 0)]
     assert [f.length for f in facs] == [2, 2]
+
+
+def test_lengths_module_is_not_shadowed():
+    import numelast.lengths as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.max_length is max_length
+    assert callable(numelast.factorizations)
+    assert numelast.factorizations is module.factorizations
 
 
 def test_factorizations_edge_cases():

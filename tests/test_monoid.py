@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from numelast import (
     EmptyInput,
     GeneratorTooLarge,
     NonCoprime,
+    TableTooLarge,
     ZeroGenerator,
     contains,
     detect_arithmetical,
@@ -16,6 +18,8 @@ from numelast import (
     max_elasticity,
     new_monoid,
 )
+
+from numelast.monoid import TABLE_LIMIT
 
 import oracles
 
@@ -44,6 +48,19 @@ def test_new_monoid_generator_cap():
     with pytest.raises(GeneratorTooLarge):
         new_monoid([3, 10**6 + 1])
     assert new_monoid([3, 10**6 + 1], max_generator=10**7).generators == (3, 10**6 + 1)
+
+
+def test_table_budget():
+    S = new_monoid([9973, 10007])  # about 2 * 10**8 table entries
+    start = time.perf_counter()
+    with pytest.raises(TableTooLarge):
+        contains(S, 5)
+    with pytest.raises(TableTooLarge):
+        frobenius(S)
+    assert time.perf_counter() - start < 1.0  # refused before any table is built
+    # the largest monoid the benchmark and the ROADMAP ladder use fits
+    g1, gk1, gk = 501, 777, 1003
+    assert (g1 - 1) * gk + (gk - 1) * gk1 <= TABLE_LIMIT
 
 
 def test_normalization_idempotent_random():
