@@ -66,6 +66,7 @@ from .profile import (
     SequenceAlignment,
     TailSequence,
     build_profile,
+    compare_built_profiles,
     compare_profiles,
     contains_elasticity,
     profile_to_dict,

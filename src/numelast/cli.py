@@ -23,7 +23,7 @@ from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
 from .lengths import length_stats_range
 from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
-from .profile import build_profile, compare_profiles, contains_elasticity, profile_to_json
+from .profile import build_profile, compare_built_profiles, contains_elasticity, profile_to_json
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
 
@@ -143,7 +143,9 @@ def cmd_compare(args) -> int:
     if len(S1.generators) == 1 or len(S2.generators) == 1:
         print("error: comparison needs at least two generators", file=sys.stderr)
         return 2
-    verdict = compare_profiles(S1, S2, args.tmax)
+    prof1 = build_profile(S1)
+    prof2 = build_profile(S2)
+    verdict = compare_built_profiles(prof1, prof2, args.tmax)
     p1 = detect_arithmetical(S1)
     p2 = detect_arithmetical(S2)
     if p1 is not None and p2 is not None:
@@ -155,8 +157,6 @@ def cmd_compare(args) -> int:
             print("EQUAL")
         else:
             witness = _arithmetical_witness(p1, p2)
-            prof1 = build_profile(S1)
-            prof2 = build_profile(S2)
             if contains_elasticity(prof1, witness)[0] == contains_elasticity(prof2, witness)[0]:
                 print("error: witness fails the membership check", file=sys.stderr)
                 return 1

@@ -101,9 +101,11 @@ class ArithmeticalParams:
         return tuple(self.a + i * self.d for i in range(self.k + 1))
 
     def monoid(self) -> NumericalMonoid:
-        S = new_monoid(self.generators())
-        assert S.generators == self.generators(), "progression was not minimal"
-        return S
+        # The progression is its own minimal generating set: a sum of s >= 2
+        # generators is s*a + (multiple of d), so it can equal a + j*d only if
+        # d divides (s-1)*a, that is d | s-1; then it is at least
+        # a + (s-1)*a >= a + d*a > a + k*d, beyond every generator.
+        return new_monoid(self.generators())
 
     def step_bound(self) -> Fraction:
         """Supremum of the elasticity set, (a + kd)/a."""

@@ -7,6 +7,13 @@ through window element n0 carries the monotone sequence
 The finite part records every value attained below B0 + period, so the
 pair (finite part, sequences) describes the whole value set exactly and
 membership of any rational is decidable by solving each sequence for t.
+
+Sequences that start from the same pair (M0, m0) take the same values, and
+there are far fewer such starts than residue classes (321 for the 3131
+classes of <31,57,73,101>).  Membership queries and the alignment of two
+profiles therefore scan the distinct tail starts, each standing for the
+first sequence that has it, so their answers name the same sequence a scan
+of every class would.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ class ElasticityProfile:
     finite_part: tuple[tuple[Fraction, int], ...]  # (value, smallest witness >= 1)
     sequences: tuple[TailSequence, ...]
     _finite_lookup: dict = field(init=False, repr=False)
+    _starts: dict[tuple[int, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._finite_lookup = {value: witness for value, witness in self.finite_part}
@@ -113,6 +123,20 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     )
 
 
+def _tail_starts(profile: ElasticityProfile) -> dict[tuple[int, int], int]:
+    """(M0, m0) -> index of the first sequence that starts there.
+
+    Kept in order of first appearance and built on first use, so
+    build_profile does no extra work for callers that never query.
+    """
+    if profile._starts is None:
+        starts: dict[tuple[int, int], int] = {}
+        for i, seq in enumerate(profile.sequences):
+            starts.setdefault((seq.max0, seq.min0), i)
+        profile._starts = starts
+    return profile._starts
+
+
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
     """Value of the ``index``-th tail sequence after ``t`` periods."""
     if not 0 <= index < len(profile.sequences):
@@ -128,7 +152,8 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     """Exact membership of ``q`` in the elasticity set, with a witness element.
 
     Checks the finite part, then solves q = (M0 + t g_k)/(m0 + t g_1) for an
-    integer t >= 0 in each sequence.
+    integer t >= 0 from each distinct tail start (M0, m0).  The witness of a
+    tail hit lies in the first sequence that solves it.
     """
     q = Fraction(q)
     if q < 1 or q > profile.limit:
@@ -144,27 +169,26 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
         # q equals the limit, which is always attained (normally the finite
         # part already answered with a smaller witness)
         return True, g1 * gk
-    for seq in profile.sequences:
-        tn = den * seq.max0 - num * seq.min0
+    for (big, small), i in _tail_starts(profile).items():
+        tn = den * big - num * small
         if tn % slope:
             continue
         t = tn // slope
         if t >= 0:
-            return True, seq.n0 + t * profile.period
+            return True, profile.sequences[i].n0 + t * profile.period
     return False, None
 
 
 def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[int, int]]:
     """The finite part and every tail value up to step t_max, as (num, den) pairs.
 
-    Sequences that start from the same (M0, m0) take the same values, so each
-    start is walked once.  Tail pairs are not reduced; callers compare them
-    through exact keys.
+    Each distinct tail start is walked once.  Tail pairs are not reduced;
+    callers compare them through exact keys.
     """
     for value, _ in profile.finite_part:
         yield value.numerator, value.denominator
     g1, gk = profile.monoid.g1, profile.monoid.gk
-    for big, small in {(seq.max0, seq.min0) for seq in profile.sequences}:
+    for big, small in _tail_starts(profile):
         for t in range(t_max + 1):
             yield big + t * gk, small + t * g1
 
@@ -172,7 +196,7 @@ def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[in
 def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
     """An upper bound on the denominators of _bounded_values."""
     finite = max(value.denominator for value, _ in profile.finite_part)
-    tail = max(seq.min0 for seq in profile.sequences) + t_max * profile.monoid.g1
+    tail = max(small for _, small in _tail_starts(profile)) + t_max * profile.monoid.g1
     return max(finite, tail)
 
 
@@ -219,20 +243,26 @@ def _identity_holds(
 def _align_sequences(
     src: ElasticityProfile, dst: ElasticityProfile, t_max: int
 ) -> list[SequenceAlignment] | None:
-    """Affine alignment of every source sequence into some target sequence."""
+    """Affine alignment of every source sequence into some target sequence.
+
+    A sequence's alignment depends only on its start (M0, m0), so each
+    distinct source start is solved once, against the distinct target
+    starts in order: that finds the first target sequence that fits.
+    """
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    constant_targets = [j for j, seq in enumerate(dst.sequences) if seq.constant]
-    out: list[SequenceAlignment] = []
-    for i, seq in enumerate(src.sequences):
+    targets = [(j, dst.sequences[j]) for j in _tail_starts(dst).values()]
+    constant_target = next((j for j, dseq in targets if dseq.constant), None)
+    solved: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    for start, i in _tail_starts(src).items():
+        seq = src.sequences[i]
         if seq.constant:
-            if not constant_targets:
+            if constant_target is None:
                 return None
-            out.append(SequenceAlignment(i, constant_targets[0], 1, 0, 0))
+            solved[start] = (constant_target, 1, 0, 0)
             continue
         D = seq.max0 * gp - Gp * seq.min0
-        found = None
-        for j, dseq in enumerate(dst.sequences):
+        for j, dseq in targets:
             if dseq.constant:
                 continue
             a_num = dseq.max0 * g - G * dseq.min0
@@ -249,31 +279,38 @@ def _align_sequences(
             if t0 > t_max:
                 continue  # head values would not have been cross-checked
             if _identity_holds(seq, dseq, alpha, beta, G, g, Gp, gp):
-                found = SequenceAlignment(i, j, alpha, beta, t0)
+                solved[start] = (j, alpha, beta, t0)
                 break
-        if found is None:
+        else:
             return None
-        out.append(found)
-    return out
+    return [
+        SequenceAlignment(i, *solved[seq.max0, seq.min0])
+        for i, seq in enumerate(src.sequences)
+    ]
 
 
 def compare_profiles(
     S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = 50
 ) -> ComparisonVerdict:
-    """Compare the elasticity sets of two monoids.
+    """Compare the elasticity sets of two monoids; see compare_built_profiles."""
+    return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
+
+
+def compare_built_profiles(
+    p1: ElasticityProfile, p2: ElasticityProfile, t_max: int = 50
+) -> ComparisonVerdict:
+    """Compare the elasticity sets of two built profiles.
 
     Reports not_equal when the limits differ (the witness is the larger
     limit) or when a bounded value lies outside the other set.  A side's
     bounded values are its finite part plus its tail values up to step
     ``t_max``; the witness is the smallest value in the symmetric difference
     of the two bounded value sets that the other side's set lacks, taken
-    from the first monoid's bounded values when one qualifies, else from the
-    second's.  Reports equal only when every tail sequence of each side is
-    affinely aligned into the other (a complete proof); otherwise unknown at
-    the checked bound.
+    from the first profile's bounded values when one qualifies, else from
+    the second's.  Reports equal only when every tail sequence of each side
+    is affinely aligned into the other (a complete proof); otherwise unknown
+    at the checked bound.
     """
-    p1 = build_profile(S1)
-    p2 = build_profile(S2)
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
     K = max(_max_denominator(p1, t_max), _max_denominator(p2, t_max)) ** 2 + 1

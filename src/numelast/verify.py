@@ -264,7 +264,8 @@ def check_profile_decomposition() -> bool:
         prof = pr.build_profile(S)
         for st in _length_stats_range(S, 1, prof.base + 3 * prof.period):
             if st.n < prof.base + prof.period:
-                if prof._finite_lookup[st.elasticity] > st.n:
+                found, witness = pr.contains_elasticity(prof, st.elasticity)
+                if not found or witness > st.n:
                     return False
             else:
                 idx = (st.n - prof.base) % prof.period

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numelast import (
     ArithmeticalParams,
@@ -162,3 +164,16 @@ def test_max_elasticity_exceeds_one_iff_several_generators():
     assert max_elasticity(new_monoid([1])) == 1
     for gens in [(2, 3), (3, 5, 7), (6, 10, 13, 14)]:
         assert max_elasticity(new_monoid(gens)) > 1
+
+
+@st.composite
+def _progressions(draw):
+    a = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 60).filter(lambda d: gcd(a, d) == 1))
+    return ArithmeticalParams(a, d, draw(st.integers(1, a - 1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_progressions())
+def test_arithmetical_progression_is_minimal(params):
+    assert params.monoid().generators == params.generators()
