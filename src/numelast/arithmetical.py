@@ -22,6 +22,7 @@ from .errors import (
     NonIntegerResult,
     NotApplicable,
     NotArithmetical,
+    NotInMonoid,
     SOutOfRange,
 )
 from .monoid import ArithmeticalParams, detect_arithmetical
@@ -312,19 +313,20 @@ def length_sets_equal_arithmetical(
 def arith_max_length(params: ArithmeticalParams, n: int) -> int:
     """M(n) by the closed form: n = x'a + y'd with 0 <= y' < a gives M = x'.
 
-    Assumes n is an element of the monoid.
+    n is in the monoid iff x' >= 0 and y' <= k x'; otherwise NotInMonoid.
     """
     a, d = params.a, params.d
     yp = (n * pow(d, -1, a)) % a
-    xp, rem = divmod(n - yp * d, a)
-    assert rem == 0 and xp >= 0
+    xp = (n - yp * d) // a  # exact: yp d = n mod a
+    if xp < 0 or yp > params.k * xp:
+        raise NotInMonoid(f"{n} is not in the monoid of {params}")
     return xp
 
 
 def arith_min_length(params: ArithmeticalParams, n: int) -> int:
     """m(n) by the closed form: n = x(a+kd) - yd with 0 <= y < a+kd gives m = x.
 
-    Assumes n is an element of the monoid.
+    n is in the monoid iff y <= k x; otherwise NotInMonoid.
     """
     a, d, k = params.a, params.d, params.k
     w = a + k * d
@@ -334,6 +336,7 @@ def arith_min_length(params: ArithmeticalParams, n: int) -> int:
     else:
         x0 = (n * pow(w, -1, d)) % d
         x = lo + ((x0 - lo) % d)
-    y, rem = divmod(x * w - n, d)
-    assert rem == 0 and 0 <= y < w
+    y = (x * w - n) // d  # exact: x w = n mod d, and 0 <= y < w as lo <= x < lo + d
+    if y > k * x:
+        raise NotInMonoid(f"{n} is not in the monoid of {params}")
     return x

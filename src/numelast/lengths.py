@@ -2,10 +2,10 @@
 
 Maximal and minimal factorization lengths M(n) and m(n) are read from the
 monoid's :class:`~numelast.monoid.WindowTables`: dynamic-programming tables
-built once per monoid up to the windows where the recurrences
-M(n) = M(n - g_1) + 1 (for n > (g_1 - 1) g_k) and m(n) = m(n - g_k) + 1
-(for n > (g_k - 1) g_{k-1}) take over.  Elements beyond a window are
-answered in O(1) by stepping back into it; the tables never grow.
+built once per monoid over one window, up to (g_k - 1) g_{k-1}, past which
+both recurrences M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1 hold.
+Elements beyond the window are answered in O(1) by stepping back into it;
+the tables never grow.
 """
 
 from __future__ import annotations
@@ -116,28 +116,21 @@ def elasticity(S: NumericalMonoid, n: int) -> Fraction:
 def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """(n, M(n), m(n)) as ints for every monoid element in [lo, hi], ascending.
 
-    Reads the tables directly: inside a window by index, past it by the same
-    O(1) step back into the window that max_length and min_length take.
+    Reads the tables directly: inside the window by index, past it by the
+    same O(1) steps back into the window that max_length and min_length take.
     """
     t = window_tables(S.generators)
-    g1, gk = t.g1, t.gk
-    max_limit, min_limit = t.max_limit, t.min_limit
+    g1, gk, limit = t.g1, t.gk, t.limit
     maxt, mint = t.max_table, t.min_table
-    for n in range(max(lo, 0), hi + 1):
-        if n <= min_limit:
-            small = mint[n]
-            if small < 0:
-                continue
-        else:
-            # past the min window, which clears the Frobenius number
-            steps = (n - min_limit + gk - 1) // gk
-            small = mint[n - steps * gk] + steps
-        if n <= max_limit:
-            big = maxt[n]
-        else:
-            steps = (n - max_limit + g1 - 1) // g1
-            big = maxt[n - steps * g1] + steps
-        yield n, big, small
+    for n in range(max(lo, 0), min(hi, limit) + 1):
+        small = mint[n]
+        if small >= 0:
+            yield n, maxt[n], small
+    # past the window, which clears the Frobenius number
+    for n in range(max(lo, limit + 1), hi + 1):
+        up = (n - limit + g1 - 1) // g1
+        down = (n - limit + gk - 1) // gk
+        yield n, maxt[n - up * g1] + up, mint[n - down * gk] + down
 
 
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:

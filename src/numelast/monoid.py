@@ -3,12 +3,12 @@
 A numerical monoid is a co-finite additive submonoid of the nonnegative
 integers, stored here by its minimal generating set g_1 < ... < g_k with
 gcd 1.  One :class:`WindowTables` object per monoid holds the maximal and
-minimal factorization lengths M(n) and m(n) up to the windows where their
-recurrences take over, and the Frobenius number (the largest integer
-outside the monoid) found while filling the min table.  Membership, the
-Frobenius number and every length query read that object, which is built
-once per generating set and kept in one bounded cache.  Normalization runs
-the same max-length fill over the raw generators.
+minimal factorization lengths M(n) and m(n) over one window, up to where
+both of their recurrences have taken over, and the Frobenius number (the
+largest integer outside the monoid), all filled in one pass.  Membership,
+the Frobenius number and every length query read that object, which is
+built once per generating set and kept in one bounded cache.
+Normalization runs the same fill over the raw generators.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .errors import (
 #: Default cap on the largest generator new_monoid accepts.
 MAX_GENERATOR = 10**6
 
-#: Most entries, (g_1 - 1) g_k + (g_k - 1) g_{k-1}, one monoid's tables may
-#: take (4 bytes each); larger monoids raise TableTooLarge before allocating.
+#: Most table entries one monoid may take, 2 ((g_k - 1) g_{k-1} + 1) for its
+#: two tables over one window (4 bytes each); larger monoids raise
+#: TableTooLarge before allocating.
 TABLE_LIMIT = 10**7
 
 #: Monoids whose tables stay cached: a comparison reads two at a time, every
@@ -131,92 +132,84 @@ def new_monoid(raw, *, max_generator: int = MAX_GENERATOR) -> NumericalMonoid:
         )
     if gcd(*gens) != 1:
         raise NonCoprime(f"gcd of {tuple(gens)} is {gcd(*gens)}, expected 1")
-    lengths = _max_lengths(gens, gens[-1])
-    return NumericalMonoid(tuple(g for g in gens if lengths[g] == 1))
+    max_table, _, _ = _fill(gens, gens[-1])
+    return NumericalMonoid(tuple(g for g in gens if max_table[g] == 1))
 
 
-def _max_lengths(gens, limit: int) -> array:
-    """M(n) over the sorted ``gens`` for n = 0..limit; -1 where n is no
-    combination of them."""
+def _fill(gens, limit: int) -> tuple[array, array, int]:
+    """M(n) and m(n) over the sorted ``gens`` for n = 0..limit, both -1 where
+    n is no combination of them, and the largest such n (-1 if none)."""
     # 32-bit entries; array('i') raises OverflowError if a length ever overflows
-    table = array("i", [-1]) * (limit + 1)
-    table[0] = 0
+    max_table = array("i", [-1]) * (limit + 1)
+    min_table = array("i", [-1]) * (limit + 1)
+    max_table[0] = min_table[0] = 0
+    gap = -1
     for n in range(1, limit + 1):
-        best = -1
+        big, small = -1, n  # n exceeds every m(n - g), so it means "none yet"
         for g in gens:
             if g > n:
                 break
-            prev = table[n - g]
-            if prev > best:
-                best = prev
-        if best >= 0:
-            table[n] = best + 1
-    return table
+            prev = max_table[n - g]
+            if prev >= 0:
+                if prev > big:
+                    big = prev
+                prev = min_table[n - g]
+                if prev < small:
+                    small = prev
+        if big >= 0:
+            max_table[n] = big + 1
+            min_table[n] = small + 1
+        else:
+            gap = n
+    return max_table, min_table, gap
 
 
 class WindowTables:
-    """M(n), m(n) and the Frobenius number of one monoid, over fixed windows.
+    """M(n), m(n) and the Frobenius number of one monoid, over one window.
 
-    ``max_table[n]`` is M(n) for 0 <= n <= max_limit = (g_1 - 1) g_k, and
-    ``min_table[n]`` is m(n) for 0 <= n <= min_limit = (g_k - 1) g_{k-1};
-    both hold -1 outside the monoid.  Past its window each function follows
-    M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1, so it is answered by
-    stepping back into the window.  Both windows reach g_1 past the
-    Frobenius number, so a step back always lands on a member.  The tables
-    are shared through :func:`window_tables` and must not be written to.
+    ``max_table[n]`` is M(n) and ``min_table[n]`` is m(n) for
+    0 <= n <= limit = (g_k - 1) g_{k-1}, both -1 outside the monoid.  Past
+    the window the recurrences M(n) = M(n - g_1) + 1 (for n > (g_1 - 1) g_k)
+    and m(n) = m(n - g_k) + 1 (for n > limit) answer by stepping back into
+    it.  One window serves both: g_{k-1} >= g_1 gives (g_k - 1) g_{k-1} >=
+    (g_k - 1) g_1 >= (g_1 - 1) g_k.  The tables are shared through
+    :func:`window_tables` and must not be written to.
     """
 
-    __slots__ = (
-        "generators", "g1", "gk", "max_limit", "min_limit", "max_table", "min_table", "frobenius",
-    )
+    __slots__ = ("generators", "g1", "gk", "limit", "max_table", "min_table", "frobenius")
 
     def __init__(self, generators: tuple[int, ...]):
         g1, gk = generators[0], generators[-1]
-        # <1> has empty windows: M(n) = m(n) = n by n steps back to 0
-        max_limit = (g1 - 1) * gk
-        min_limit = (gk - 1) * generators[-2] if len(generators) > 1 else 0
-        if max_limit + min_limit > TABLE_LIMIT:
+        # <1> has an empty window: M(n) = m(n) = n by n steps back to 0
+        limit = (gk - 1) * generators[-2] if len(generators) > 1 else 0
+        if 2 * (limit + 1) > TABLE_LIMIT:
             raise TableTooLarge(
                 f"the length tables of <{','.join(map(str, generators))}> need "
-                f"{max_limit + min_limit} entries, above the limit {TABLE_LIMIT}"
+                f"{2 * (limit + 1)} entries, above the limit {TABLE_LIMIT}"
             )
-        min_table = array("i", [-1]) * (min_limit + 1)
-        min_table[0] = 0
-        frobenius = -1
-        for n in range(1, min_limit + 1):
-            best = -1
-            for g in generators:
-                if g > n:
-                    break
-                prev = min_table[n - g]
-                if prev >= 0 and (best < 0 or prev < best):
-                    best = prev
-            if best >= 0:
-                min_table[n] = best + 1
-            else:
-                frobenius = n
-        # g_1 members in a row end every gap, so windows that reach g_1 past
-        # the last gap seen have seen the Frobenius number
-        if frobenius + g1 > min(max_limit, min_limit):
-            raise InternalInconsistency(f"membership gap inside a window of {generators}")
-        self.generators, self.g1, self.gk = generators, g1, gk
-        self.max_limit, self.min_limit = max_limit, min_limit
-        self.max_table = _max_lengths(generators, max_limit)
-        self.min_table = min_table
-        self.frobenius = frobenius
+        self.generators, self.g1, self.gk, self.limit = generators, g1, gk, limit
+        self.max_table, self.min_table, self.frobenius = _fill(generators, limit)
+        # A step back lands among the last g_k entries of the window.  When
+        # they hold no gap, they are g_k >= g_1 members in a row, which end
+        # every gap: the last gap seen is the Frobenius number F and every
+        # step back lands on a member.  Schur's bound F <= (g_1 - 1)(g_k - 1)
+        # - 1 gives F + g_k <= g_1 (g_k - 1) <= limit, so only a wrong fill
+        # fails this check.
+        if self.frobenius + gk > limit:
+            raise InternalInconsistency(f"membership gap inside the window of {generators}")
 
     def max_length(self, n: int) -> int:
         """M(n), or -1 when ``n`` is outside the monoid."""
-        if n <= self.max_limit:
+        if n <= self.limit:
             return self.max_table[n] if n >= 0 else -1
-        steps = (n - self.max_limit + self.g1 - 1) // self.g1
+        steps = (n - self.limit + self.g1 - 1) // self.g1
         return self.max_table[n - steps * self.g1] + steps
 
     def min_length(self, n: int) -> int:
         """m(n), or -1 when ``n`` is outside the monoid."""
-        if n <= self.min_limit:
+        if n <= self.limit:
             return self.min_table[n] if n >= 0 else -1
-        steps = (n - self.min_limit + self.gk - 1) // self.gk
+        steps = (n - self.limit + self.gk - 1) // self.gk
         return self.min_table[n - steps * self.gk] + steps
 
 

@@ -223,23 +223,6 @@ def _first_miss(
     return None
 
 
-def _identity_holds(
-    src: TailSequence, dst: TailSequence, alpha: int, beta: int,
-    G: int, g: int, Gp: int, gp: int,
-) -> bool:
-    # (M0 + tG)(m0' + (alpha t + beta) g') == (M0' + (alpha t + beta) G')(m0 + t g)
-    # compared coefficient by coefficient as polynomials in t
-    if G * gp != Gp * g:
-        return False
-    lin_l = src.max0 * gp * alpha + G * dst.min0 + G * gp * beta
-    lin_r = dst.max0 * g + alpha * Gp * src.min0 + beta * Gp * g
-    if lin_l != lin_r:
-        return False
-    const_l = src.max0 * dst.min0 + src.max0 * gp * beta
-    const_r = dst.max0 * src.min0 + beta * Gp * src.min0
-    return const_l == const_r
-
-
 def _align_sequences(
     src: ElasticityProfile, dst: ElasticityProfile, t_max: int
 ) -> list[SequenceAlignment] | None:
@@ -261,6 +244,13 @@ def _align_sequences(
                 return None
             solved[start] = (constant_target, 1, 0, 0)
             continue
+        # An alignment needs (M0 + tG)(m0' + (alpha t + beta) g') =
+        # (M0' + (alpha t + beta) G')(m0 + tg) as polynomials in t.  The only
+        # caller has checked equal limits, G g' = G' g, so the t^2
+        # coefficients agree and the beta terms of the t^1 coefficients
+        # cancel; what is left is alpha D = a_num (t^1) and beta D = b_num
+        # (t^0), which the exact quotients below solve.  D != 0: D g =
+        # g' (M0 g - G m0), and the sequence is not constant.
         D = seq.max0 * gp - Gp * seq.min0
         for j, dseq in targets:
             if dseq.constant:
@@ -278,9 +268,8 @@ def _align_sequences(
             t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
             if t0 > t_max:
                 continue  # head values would not have been cross-checked
-            if _identity_holds(seq, dseq, alpha, beta, G, g, Gp, gp):
-                solved[start] = (j, alpha, beta, t0)
-                break
+            solved[start] = (j, alpha, beta, t0)
+            break
         else:
             return None
     return [

@@ -12,6 +12,7 @@ from numelast import (
     NonIntegerResult,
     NotApplicable,
     NotArithmetical,
+    NotInMonoid,
     SOutOfRange,
     arith_max_length,
     arith_min_length,
@@ -100,11 +101,16 @@ def test_witness_elements_hit_their_values():
 
 
 def test_tuple_values_match_length_formulas():
-    # closed forms for M and m agree with the table-driven library values
-    for params in (P753, P321, ArithmeticalParams(5, 3, 2)):
+    # closed forms for M and m agree with the table-driven library values,
+    # and refuse non-members as the table readers do
+    for params in (P753, P321, ArithmeticalParams(5, 3, 2), ArithmeticalParams(2, 1, 1)):
         S = params.monoid()
-        for n in range(1, 400):
+        for n in range(-3, 400):
             if n not in S:
+                with pytest.raises(NotInMonoid):
+                    arith_max_length(params, n)
+                with pytest.raises(NotInMonoid):
+                    arith_min_length(params, n)
                 continue
             assert arith_max_length(params, n) == max_length(S, n)
             assert arith_min_length(params, n) == min_length(S, n)

@@ -65,6 +65,17 @@ def test_table_budget():
     assert (g1 - 1) * gk + (gk - 1) * gk1 <= TABLE_LIMIT
 
 
+
+def test_table_budget_counts_both_tables():
+    # one window of (g_k - 1) g_{k-1} = 5006406 entries; the two tables over
+    # it need 10012814, above the limit, though each alone would fit
+    S = new_monoid([3, 2237, 2239])
+    assert S.generators == (3, 2237, 2239)
+    limit = (2239 - 1) * 2237
+    assert limit + 1 <= TABLE_LIMIT < 2 * (limit + 1)
+    with pytest.raises(TableTooLarge):
+        frobenius(S)
+
 def test_normalization_idempotent_random():
     rng = random.Random(42)
     for _ in range(200):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numelast
-from numelast import NotInMonoid, contains, frobenius, max_length, min_length, new_monoid
+from numelast import NotInMonoid, contains, frobenius, iter_lengths, max_length, min_length, new_monoid
 from numelast.monoid import TABLE_CACHE_SIZE, window_tables
 
 import oracles
@@ -64,6 +64,8 @@ def test_tables_match_oracle_through_clear_and_eviction(raw):
     limit = _limit(S.generators)
     expected = _expected(S.generators, limit)
     assert _answers(S, limit) == expected
+    members = [(n, *row) for n, row in enumerate(expected[1]) if row is not None]
+    assert list(iter_lengths(S, 0, limit)) == members
     assert not contains(S, -1)
     with pytest.raises(NotInMonoid):
         max_length(S, expected[0])
