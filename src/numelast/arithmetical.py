@@ -18,6 +18,7 @@ from math import gcd
 
 from .errors import (
     IncompatibleParams,
+    InternalInconsistency,
     InvalidTuple,
     NonIntegerResult,
     NotApplicable,
@@ -71,7 +72,7 @@ def tuple_bounds(params: ArithmeticalParams, s: int) -> tuple[int, int]:
     a, d, k = params.a, params.d, params.k
     lo = -((-s * a) // k)
     hi = (s * a + 2 * (a - 1)) // k + d
-    assert lo <= hi
+    # lo <= hi: lo <= floor(sa/k) + 1 <= hi, as a >= 1 and d >= 1
     return lo, hi
 
 
@@ -128,7 +129,10 @@ def witness_element(params: ArithmeticalParams, t: ElasticityTuple) -> int:
     total = t.x * k - t.s * a
     ypp = max(0, total - (a - 1))
     yp = total - ypp
-    assert 0 <= yp < a and 0 <= ypp < a + k * d
+    # 0 <= yp < a and 0 <= ypp < a + kd: the tuple is valid, so
+    # ceil(sa/k) <= x <= floor((sa + 2(a-1))/k) + d gives
+    # 0 <= total <= 2(a-1) + kd, and yp = min(total, a-1) while
+    # ypp = max(0, total - (a-1)) <= a - 1 + kd.
     return (t.c * (a + k * d) + t.x + t.s * d) * a + yp * d
 
 
@@ -140,13 +144,16 @@ def compare_tuples(
     rhs = tuple_elasticity(params, t2)
     relation = (lhs > rhs) - (lhs < rhs)
     if t1.x == t2.x and (t1.c, t1.s) != (t2.c, t2.s):
+        # With a shared row and a shared c or s, the slice order follows the
+        # value order.  The value is (c(a+kd) + x + sd) / (ca + x): at fixed
+        # c and x it grows with s, and at fixed s and x it does not fall as
+        # c grows, since (a+kd) x - a (x + sd) = d (kx - sa) >= 0 for a valid
+        # row x >= ceil(sa/k).
         rule = "slice"
-        if t1.c == t2.c or t1.s == t2.s:
-            d_slice = t1.slice_index(params) - t2.slice_index(params)
-            assert d_slice * relation >= 0, "slice order must follow value order"
     elif (t1.c, t1.s) == (t2.c, t2.s) and t1.x != t2.x:
+        # The row order reverses the value order: (N + x)/(D + x) with
+        # N = c(a+kd) + sd >= D = ca does not grow with x.
         rule = "row"
-        assert (t1.x - t2.x) * relation <= 0, "row order must reverse value order"
     else:
         rule = "exact"
     return TupleComparison(relation, rule, lhs, rhs)
@@ -186,7 +193,8 @@ def three_minimal_elasticities(S) -> tuple[Fraction, Fraction, Fraction]:
     values = sorted(
         {tuple_elasticity(params, t) for t in enumerate_tuples(params, 2 * params.k + 2)}
     )
-    assert len(values) >= 3 and values[0] == 1
+    if len(values) < 3 or values[0] != 1:
+        raise InternalInconsistency(f"the first slices of {params} give no three values from 1")
     return values[0], values[1], values[2]
 
 
@@ -219,7 +227,7 @@ def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
     by a multiple of (k', a') chosen through a Bezout relation so that
     gcd(ca + x, ck + s) = 1 for the resulting tuple.  The returned tuple is
     maximal, keeps the residue congruence, and satisfies the gcd condition;
-    all three are asserted.  The integer b below is the smallest-magnitude
+    all three are checked.  The integer b below is the smallest-magnitude
     solution of the strict inequality, ties broken toward negative b.
     """
     a, d, k = params.a, params.d, params.k
@@ -228,10 +236,10 @@ def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
         raise NotApplicable(f"gcd(a={a}, k={k}) must be at least 2")
     ap, kp = a // g, k // g
     s = 0 if kp == 1 else (pow(ap, -1, kp) - 2) % kp
-    assert ((s + 2) * ap - 1) % kp == 0
+    # (s + 2) a' = 1 mod k' by the choice of s (for k' = 1 any integer is)
     x = ((s + 2) * ap - 1) // kp + d
     p, q = _bezout(ap, kp)
-    assert p * ap + q * kp == 1
+    # p a' + q k' = gcd(a', k') = 1
     target = p * x + q * s
     slope = s * ap - x * kp  # negative: xk' exceeds sa'
     b = None
@@ -243,13 +251,17 @@ def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
                 break
         mag += 1
     m = 1 - (p + b * kp) * x - (q - b * ap) * s
-    assert m > 0
+    # m > 0: m = 1 - (p x + q s) + b (s a' - x k') = 1 - target + b slope,
+    # and b slope > target
     c, r = divmod(m, g)
     result = ElasticityTuple(c, s + r * kp, x + r * ap)
     _require_valid(params, result)
-    assert result.is_maximal(params)
-    assert (ap * (result.s + 2)) % kp == 1 % kp
-    assert gcd(c * a + result.x, c * k + result.s) == 1
+    if not (
+        result.is_maximal(params)
+        and (ap * (result.s + 2)) % kp == 1 % kp
+        and gcd(c * a + result.x, c * k + result.s) == 1
+    ):
+        raise InternalInconsistency(f"{result} is not a coprime maximal tuple of {params}")
     return result
 
 
@@ -275,7 +287,10 @@ def phi_embed(
     q, r = divmod(t.c, g)
     image = ElasticityTuple(q, t.s + r * p_from.k, t.x + r * p_from.a)
     _require_valid(p_to, image)
-    assert tuple_elasticity(p_from, t) == tuple_elasticity(p_to, image)
+    # The value is preserved: with a = g a_from and k = g k_from, the image's
+    # denominator q a + x + r a_from is c a_from + x and its numerator
+    # q (a + k d) + x + r a_from + (s + r k_from) d is
+    # c (a_from + k_from d) + x + s d, both the tuple's own.
     return image
 
 

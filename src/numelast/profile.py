@@ -1,27 +1,29 @@
 """Exact decomposition of an elasticity set into a finite part plus tails.
 
 Past the window base B0 = g_{k-1} g_k, the value of every element n is
-determined by its residue class modulo the period g_1 g_k: the class
-through window element n0 carries the monotone sequence
-(M0 + t g_k) / (m0 + t g_1), t = 0, 1, 2, ..., increasing toward g_k/g_1.
-The finite part records every value attained below B0 + period, so the
-pair (finite part, sequences) describes the whole value set exactly and
+determined by its residue class modulo the period g_1 g_k: class i, through
+window element B0 + i, carries the monotone sequence (M0 + t g_k) / (m0 + t g_1),
+t = 0, 1, 2, ..., increasing toward g_k/g_1, with M0 and m0 the lengths of
+B0 + i.  The finite part records every value attained below B0 + period, so
+the pair (finite part, sequences) describes the whole value set exactly and
 membership of any rational is decidable by solving each sequence for t.
 
-Sequences that start from the same pair (M0, m0) take the same values, and
-there are far fewer such starts than residue classes (321 for the 3131
-classes of <31,57,73,101>).  Membership queries and the alignment of two
-profiles therefore scan the distinct tail starts, each standing for the
-first sequence that has it, so their answers name the same sequence a scan
-of every class would.
+A profile keeps M0 and m0 in two integer columns indexed by class, and an
+index of the distinct starts (M0, m0), each mapped to its first class.
+Sequences with the same start take the same values, and there are far fewer
+starts than classes (321 for the 3131 of <31,57,73,101>), so membership
+queries and alignments scan the starts and a certificate holds one entry per
+start, naming the same sequence a scan of every class would.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator
@@ -41,15 +43,17 @@ class TailSequence:
 
 @dataclass
 class ElasticityProfile:
+    """Finite part, tail columns and start index; ``sequences`` shows the
+    columns as TailSequence objects, each made when it is read."""
+
     monoid: NumericalMonoid
     base: int
     period: int
     finite_part: tuple[tuple[Fraction, int], ...]  # (value, smallest witness >= 1)
-    sequences: tuple[TailSequence, ...]
+    max0: array  # M(base + i) for class i
+    min0: array  # m(base + i) for class i
+    starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
     _finite_lookup: dict = field(init=False, repr=False)
-    _starts: dict[tuple[int, int], int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self._finite_lookup = {value: witness for value, witness in self.finite_part}
@@ -58,13 +62,35 @@ class ElasticityProfile:
     def limit(self) -> Fraction:
         return Fraction(self.monoid.gk, self.monoid.g1)
 
+    @property
+    def sequences(self) -> Sequence[TailSequence]:
+        return _TailView(self)
+
+
+class _TailView(Sequence):
+    """Read-only view of a profile's tail columns, one TailSequence per class."""
+
+    def __init__(self, profile: ElasticityProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return len(self._profile.max0)
+
+    def __getitem__(self, index: int) -> TailSequence:
+        p = self._profile
+        i = range(len(p.max0))[index]  # IndexError past either end, as a tuple's
+        big, small = p.max0[i], p.min0[i]
+        return TailSequence(p.base + i, big, small, big * p.monoid.g1 == small * p.monoid.gk)
+
 
 @dataclass(frozen=True)
 class SequenceAlignment:
     """Affine match: source values v(t) equal target values at alpha*t + beta.
 
-    Valid for t >= t0; earlier source values are checked individually.
-    Constant sequences are matched to a constant target with alpha=1, beta=0.
+    ``source`` and ``target`` are the first classes of two tail starts; the
+    match holds for every source class with that start.  Valid for t >= t0;
+    earlier source values are checked individually.  Constant sequences are
+    matched to a constant target with alpha=1, beta=0.
     """
 
     source: int
@@ -80,7 +106,8 @@ class ComparisonVerdict:
 
     ``outcome`` is "equal", "not_equal" or "unknown".  A not_equal verdict
     carries a witness value lying in exactly one of the two sets.  An equal
-    verdict carries the two-directional alignment certificate.
+    verdict carries the two-directional alignment certificate: one alignment
+    per start of the source, in ``starts`` order; class i's is its start's.
     """
 
     outcome: str
@@ -90,7 +117,7 @@ class ComparisonVerdict:
 
 
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
-    """Finite part and tail sequences of the monoid's elasticity set."""
+    """Finite part, tail columns and tail starts of the monoid's elasticity set."""
     gens = S.generators
     if len(gens) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
@@ -102,11 +129,13 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     first: dict[tuple[int, int], int] = {}  # (M, m) -> smallest element with those lengths
     for n, big, small in iter_lengths(S, 1, base - 1):
         first.setdefault((big, small), n)
-    seqs = []
+    max0, min0, starts = array("i"), array("i"), {}
     for n, big, small in iter_lengths(S, base, base + period - 1):
         first.setdefault((big, small), n)
-        seqs.append(TailSequence(n, big, small, big * g1 == small * gk))
-    if len(seqs) != period:
+        starts.setdefault((big, small), n - base)
+        max0.append(big)
+        min0.append(small)
+    if len(max0) != period:
         raise InternalInconsistency(f"the window of {S} holds a non-member")
     reduced: dict[tuple[int, int], int] = {}  # reduced M/m -> smallest witness
     for (big, small), n in first.items():  # in increasing n
@@ -119,33 +148,18 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     return ElasticityProfile(
         S, base, period,
         tuple((Fraction(num, den), n) for (num, den), n in finite),
-        tuple(seqs),
+        max0, min0, starts,
     )
-
-
-def _tail_starts(profile: ElasticityProfile) -> dict[tuple[int, int], int]:
-    """(M0, m0) -> index of the first sequence that starts there.
-
-    Kept in order of first appearance and built on first use, so
-    build_profile does no extra work for callers that never query.
-    """
-    if profile._starts is None:
-        starts: dict[tuple[int, int], int] = {}
-        for i, seq in enumerate(profile.sequences):
-            starts.setdefault((seq.max0, seq.min0), i)
-        profile._starts = starts
-    return profile._starts
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
     """Value of the ``index``-th tail sequence after ``t`` periods."""
-    if not 0 <= index < len(profile.sequences):
+    if not 0 <= index < len(profile.max0):
         raise IndexOutOfRange(f"no sequence {index}")
     if t < 0:
         raise IndexOutOfRange(f"step must be nonnegative, got {t}")
-    seq = profile.sequences[index]
     gens = profile.monoid.generators
-    return Fraction(seq.max0 + t * gens[-1], seq.min0 + t * gens[0])
+    return Fraction(profile.max0[index] + t * gens[-1], profile.min0[index] + t * gens[0])
 
 
 def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None]:
@@ -169,13 +183,13 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
         # q equals the limit, which is always attained (normally the finite
         # part already answered with a smaller witness)
         return True, g1 * gk
-    for (big, small), i in _tail_starts(profile).items():
+    for (big, small), i in profile.starts.items():
         tn = den * big - num * small
         if tn % slope:
             continue
         t = tn // slope
         if t >= 0:
-            return True, profile.sequences[i].n0 + t * profile.period
+            return True, profile.base + i + t * profile.period
     return False, None
 
 
@@ -188,7 +202,7 @@ def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[in
     for value, _ in profile.finite_part:
         yield value.numerator, value.denominator
     g1, gk = profile.monoid.g1, profile.monoid.gk
-    for big, small in _tail_starts(profile):
+    for big, small in profile.starts:
         for t in range(t_max + 1):
             yield big + t * gk, small + t * g1
 
@@ -196,7 +210,7 @@ def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[in
 def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
     """An upper bound on the denominators of _bounded_values."""
     finite = max(value.denominator for value, _ in profile.finite_part)
-    tail = max(small for _, small in _tail_starts(profile)) + t_max * profile.monoid.g1
+    tail = max(small for _, small in profile.starts) + t_max * profile.monoid.g1
     return max(finite, tail)
 
 
@@ -226,7 +240,7 @@ def _first_miss(
 def _align_sequences(
     src: ElasticityProfile, dst: ElasticityProfile, t_max: int
 ) -> list[SequenceAlignment] | None:
-    """Affine alignment of every source sequence into some target sequence.
+    """Affine alignment of every source start into some target start.
 
     A sequence's alignment depends only on its start (M0, m0), so each
     distinct source start is solved once, against the distinct target
@@ -234,48 +248,42 @@ def _align_sequences(
     """
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    targets = [(j, dst.sequences[j]) for j in _tail_starts(dst).values()]
-    constant_target = next((j for j, dseq in targets if dseq.constant), None)
-    solved: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for start, i in _tail_starts(src).items():
-        seq = src.sequences[i]
-        if seq.constant:
+    targets = [(j, M1, m1) for (M1, m1), j in dst.starts.items() if M1 * gp != m1 * Gp]
+    constant_target = next((j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp), None)
+    out = []
+    for (M0, m0), i in src.starts.items():
+        if M0 * g == m0 * G:  # the whole tail is flat at the limit
             if constant_target is None:
                 return None
-            solved[start] = (constant_target, 1, 0, 0)
+            out.append(SequenceAlignment(i, constant_target, 1, 0, 0))
             continue
-        # An alignment needs (M0 + tG)(m0' + (alpha t + beta) g') =
-        # (M0' + (alpha t + beta) G')(m0 + tg) as polynomials in t.  The only
+        # An alignment needs (M0 + tG)(m1 + (alpha t + beta) g') =
+        # (M1 + (alpha t + beta) G')(m0 + tg) as polynomials in t.  The only
         # caller has checked equal limits, G g' = G' g, so the t^2
         # coefficients agree and the beta terms of the t^1 coefficients
         # cancel; what is left is alpha D = a_num (t^1) and beta D = b_num
         # (t^0), which the exact quotients below solve.  D != 0: D g =
         # g' (M0 g - G m0), and the sequence is not constant.
-        D = seq.max0 * gp - Gp * seq.min0
-        for j, dseq in targets:
-            if dseq.constant:
-                continue
-            a_num = dseq.max0 * g - G * dseq.min0
+        D = M0 * gp - Gp * m0
+        for j, M1, m1 in targets:
+            a_num = M1 * g - G * m1
             if a_num % D:
                 continue
             alpha = a_num // D
             if alpha < 1:
                 continue
-            b_num = dseq.max0 * seq.min0 - seq.max0 * dseq.min0
+            b_num = M1 * m0 - M0 * m1
             if b_num % D:
                 continue
             beta = b_num // D
             t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
             if t0 > t_max:
                 continue  # head values would not have been cross-checked
-            solved[start] = (j, alpha, beta, t0)
+            out.append(SequenceAlignment(i, j, alpha, beta, t0))
             break
         else:
             return None
-    return [
-        SequenceAlignment(i, *solved[seq.max0, seq.min0])
-        for i, seq in enumerate(src.sequences)
-    ]
+    return out
 
 
 def compare_profiles(
@@ -324,7 +332,7 @@ def profile_to_dict(profile: ElasticityProfile) -> dict:
             [value.numerator, value.denominator, witness]
             for value, witness in profile.finite_part
         ],
-        "sequences": [[s.n0, s.max0, s.min0] for s in profile.sequences],
+        "sequences": [list(row) for row in zip(count(profile.base), profile.max0, profile.min0)],
     }
 
 

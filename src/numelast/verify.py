@@ -268,11 +268,8 @@ def check_profile_decomposition() -> bool:
                 if not found or witness > st.n:
                     return False
             else:
-                idx = (st.n - prof.base) % prof.period
-                t = (st.n - prof.base - idx) // prof.period
-                n0 = prof.base + idx
-                index = n0 - prof.base
-                if pr.sequence_value(prof, index, t) != st.elasticity:
+                t, idx = divmod(st.n - prof.base, prof.period)
+                if pr.sequence_value(prof, idx, t) != st.elasticity:
                     return False
     return True
 

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,28 @@ def test_three_minimal_against_bruteforce():
         gens = params.generators()
         values = oracles.recurrence_elasticity_map(gens, 5000).values()
         assert three_minimal_elasticities(params) == oracles.three_smallest_distinct(values)
+
+
+def test_three_minimal_check_survives_optimize_flag():
+    # under python -O a candidate set without three values must still raise
+    # the typed error, not slip through a stripped assert
+    code = (
+        "import sys\n"
+        "import numelast.arithmetical as ar\n"
+        "from numelast import ArithmeticalParams, InternalInconsistency\n"
+        "ar.enumerate_tuples = lambda params, max_slice: []\n"
+        "try:\n"
+        "    ar.three_minimal_elasticities(ArithmeticalParams(7, 5, 3))\n"
+        "except InternalInconsistency:\n"
+        "    print('typed', sys.flags.optimize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["typed", "1"]
 
 
 def test_recover_a_over_k_examples():

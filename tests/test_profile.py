@@ -23,6 +23,7 @@ from numelast import (
 )
 
 import oracles
+from test_compare_reference import expand
 
 S35 = new_monoid([3, 5])
 
@@ -196,7 +197,11 @@ def test_compare_profiles_equal_fixture():
     assert verdict.outcome == "equal"
     assert verdict.witness is None
     forward, backward = verdict.certificate
-    assert len(forward) == 84 and len(backward) == 84
+    # one alignment per distinct tail start; 84 = 6 * 14 residue classes
+    assert len(forward) == 31 and len(backward) == 31
+    p1, p2 = (build_profile(new_monoid(gens)) for gens in ([6, 10, 13, 14], [6, 11, 13, 14]))
+    assert len(p1.starts) == 31 and len(p2.starts) == 31
+    assert len(expand(p1, forward)) == 84 and len(expand(p2, backward)) == 84
     assert all(a.alpha >= 1 and a.t0 <= 50 for a in forward + backward)
 
 

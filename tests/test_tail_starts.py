@@ -57,7 +57,10 @@ def test_membership_matches_full_scan_and_witnesses_round_trip(raw, data):
     S = new_monoid(raw)
     assume(len(S.generators) >= 2)
     profile = build_profile(S)
-    assert profile._starts is None  # built on the first query, not by build_profile
+    firsts = {}
+    for i, seq in enumerate(profile.sequences):
+        firsts.setdefault((seq.max0, seq.min0), i)
+    assert list(profile.starts.items()) == list(firsts.items())  # in order of first appearance
     smallest = {}  # value -> smallest element, over the finite part's range
     values = oracles.recurrence_elasticity_map(S.generators, profile.base + profile.period - 1)
     for n, value in values.items():  # in increasing n
