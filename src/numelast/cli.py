@@ -6,6 +6,9 @@ arithmetic progression from its elasticity data alone), compare (equality
 of two elasticity sets), profile (JSON tail decomposition), verify
 (runtime self-check suites).
 
+stats and plot stream their output, so memory does not grow with the
+range; a reader that closes stdout early ends them quietly.
+
 Exit codes: 0 success, 1 failed verification or internal inconsistency,
 2 invalid generators/arguments or length tables over the budget, 3 I/O
 failure, 4 recover on a non-arithmetical monoid.
@@ -14,20 +17,31 @@ failure, 4 recover on a non-arithmetical monoid.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
 
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
-from .lengths import length_stats_range
-from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
+from .lengths import iter_lengths
+from .monoid import (
+    NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid, window_tables,
+)
 from .profile import build_profile, compare_built_profiles, contains_elasticity, profile_to_json
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
 
 CSV_HEADER = "n,max_len,min_len,rho_num,rho_den"
+CSV_ROW = "%d,%d,%d,%d,%d\n"
+# equals json.dumps(row, separators=(",", ":")) for a row of ints
+JSON_ROW = '{"n":%d,"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
+
+#: pieces (rows, SVG points) per write: output streams in chunks of this
+#: many, so memory does not grow with the length of the range
+WRITE_CHUNK = 4096
 
 
 def _parse_generators(text: str) -> NumericalMonoid:
@@ -46,60 +60,95 @@ def _default_range(S: NumericalMonoid) -> tuple[int, int]:
     return 0, base + 10 * period
 
 
-def _write_output(text: str, path: str | None) -> int:
+def _lengths(args) -> tuple[NumericalMonoid, Iterator[tuple[int, int, int]]]:
+    """The monoid and its (n, M(n), m(n)) rows over the requested range.
+
+    iter_lengths builds the tables only on its first step; they are built
+    here, so an input over the table budget exits 2 before any output is
+    opened or written.
+    """
+    S = _parse_generators(args.generators)
+    lo, hi = _default_range(S)
+    window_tables(S.generators)
+    return S, iter_lengths(
+        S,
+        lo if args.start is None else args.start,
+        hi if args.stop is None else args.stop,
+    )
+
+
+def _write_chunks(handle, pieces: Iterable[str]) -> None:
+    pieces = iter(pieces)
+    while chunk := list(islice(pieces, WRITE_CHUNK)):
+        handle.write("".join(chunk))
+        del chunk  # free it before the next one is gathered: one chunk at a time
+
+
+def _write_output(pieces: Iterable[str], path: str | None) -> int:
+    """Write the text ``pieces`` to ``path`` (stdout for None or "-").
+
+    Pieces are joined and written WRITE_CHUNK at a time, so a streamed
+    output is never held whole.  A reader that closes stdout early (``|
+    head``) ends the output quietly with exit 0.
+    """
     try:
         if path is None or path == "-":
-            sys.stdout.write(text)
+            try:
+                _write_chunks(sys.stdout, pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # send what is still buffered to devnull, so the interpreter's
+                # final flush of stdout has no closed pipe to fail on
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         else:
             with open(path, "w", newline="") as handle:
-                handle.write(text)
+                _write_chunks(handle, pieces)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
     return 0
 
 
+def _stats_rows(lengths: Iterable[tuple[int, int, int]], row: str) -> Iterator[str]:
+    """Each (n, M, m) formatted by ``row`` with M/m reduced; 0 has elasticity 1/1."""
+    for n, big, small in lengths:
+        if n:
+            d = gcd(big, small)
+            yield row % (n, big, small, big // d, small // d)
+        else:
+            yield row % (n, big, small, 1, 1)
+
+
+def _json_array(items: Iterator[str]) -> Iterator[str]:
+    yield "["
+    first = next(items, None)
+    if first is not None:
+        yield first
+        for item in items:
+            yield "," + item
+    yield "]\n"
+
+
 def cmd_stats(args) -> int:
-    S = _parse_generators(args.generators)
-    lo = args.start if args.start is not None else _default_range(S)[0]
-    hi = args.stop if args.stop is not None else _default_range(S)[1]
-    stats = length_stats_range(S, lo, hi)
+    _, lengths = _lengths(args)
     if args.format == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(
-            f"{st.n},{st.max_len},{st.min_len},"
-            f"{st.elasticity.numerator},{st.elasticity.denominator}"
-            for st in stats
-        )
-        text = "\n".join(lines) + "\n"
+        pieces = chain((CSV_HEADER + "\n",), _stats_rows(lengths, CSV_ROW))
     else:
-        rows = [
-            {
-                "n": st.n,
-                "max_len": st.max_len,
-                "min_len": st.min_len,
-                "rho_num": st.elasticity.numerator,
-                "rho_den": st.elasticity.denominator,
-            }
-            for st in stats
-        ]
-        text = json.dumps(rows, separators=(",", ":")) + "\n"
-    return _write_output(text, args.output)
+        pieces = _json_array(_stats_rows(lengths, JSON_ROW))
+    return _write_output(pieces, args.output)
 
 
 def cmd_plot(args) -> int:
-    S = _parse_generators(args.generators)
-    lo = args.start if args.start is not None else 0
-    hi = args.stop if args.stop is not None else _default_range(S)[1]
-    stats = length_stats_range(S, lo, hi)
+    S, lengths = _lengths(args)
     if args.kind == "rho":
-        points = [(st.n, st.elasticity) for st in stats]
+        points = ((n, big / small if n else 1.0) for n, big, small in lengths)
     elif args.kind == "maxlen":
-        points = [(st.n, st.max_len) for st in stats]
+        points = ((n, big) for n, big, _ in lengths)
     else:
-        points = [(st.n, st.min_len) for st in stats]
-    text = scatter_svg(points, title=f"{S} {args.kind}")
-    return _write_output(text, args.output)
+        points = ((n, small) for n, _, small in lengths)
+    return _write_output(scatter_svg(points, title=f"{S} {args.kind}"), args.output)
 
 
 def cmd_recover(args) -> int:
@@ -175,7 +224,7 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     profile = build_profile(_parse_generators(args.generators))
-    return _write_output(profile_to_json(profile) + "\n", args.output)
+    return _write_output((profile_to_json(profile) + "\n",), args.output)
 
 
 def cmd_verify(args) -> int:
@@ -236,7 +285,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MonoidError as exc:  # bad or too large input; commands write only at the end
+    except MonoidError as exc:  # bad or too large input; raised before the first write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Iterator
+
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 60
@@ -11,18 +14,22 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def scatter_svg(points, *, title: str = "") -> str:
-    """Render (x, y) pairs as an SVG scatter; y may be int, float or Fraction.
+def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iterator[str]:
+    """Render (x, y) pairs, x an int and y a float or int, as an SVG scatter.
 
-    Output is byte-deterministic for a fixed point list: coordinates are
-    formatted with two decimals and points keep their input order.
+    Yields the document line by line, each line ending in a newline; the
+    points are held as two packed columns (8 bytes a coordinate), since the
+    axis ranges come before the first point.  Output is byte-deterministic
+    for a fixed point list: coordinates are formatted with two decimals and
+    points keep their input order.
     """
-    pts = [(int(x), float(y)) for x, y in points]
-    if pts:
-        x_lo = min(x for x, _ in pts)
-        x_hi = max(x for x, _ in pts)
-        y_lo = min(y for _, y in pts)
-        y_hi = max(y for _, y in pts)
+    xs, ys = array("q"), array("d")
+    for x, y in points:
+        xs.append(x)
+        ys.append(y)
+    if xs:
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = min(ys), max(ys)
     else:
         x_lo, x_hi, y_lo, y_hi = 0, 1, 0.0, 1.0
     if x_lo == x_hi:
@@ -34,12 +41,6 @@ def scatter_svg(points, *, title: str = "") -> str:
     span_y = y_hi - y_lo
     inner_w = WIDTH - 2 * MARGIN
     inner_h = HEIGHT - 2 * MARGIN
-
-    def sx(x) -> str:
-        return _fmt(MARGIN + (x - x_lo) / span_x * inner_w)
-
-    def sy(y) -> str:
-        return _fmt(HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -70,7 +71,9 @@ def scatter_svg(points, *, title: str = "") -> str:
         f'<text x="{MARGIN - 8}" y="{MARGIN + 4}" text-anchor="end" '
         f'font-family="monospace" font-size="11">{_fmt(y_hi)}</text>'
     )
-    for x, y in pts:
-        lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="2" fill="steelblue"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    for x, y in zip(xs, ys):
+        cx = MARGIN + (x - x_lo) / span_x * inner_w
+        cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
+        yield f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="steelblue"/>\n'
+    yield "</svg>\n"

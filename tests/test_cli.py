@@ -3,11 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import numelast
-from numelast.cli import main
+from numelast.cli import WRITE_CHUNK, main
+from numelast.lengths import length_stats_range
 from numelast.monoid import WindowTables
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *args):
@@ -216,8 +222,7 @@ def test_verify_arith_fails_under_optimize_flag():
         "ar.phi_embed = wrong\n"
         "sys.exit(main(['verify', '--suite', 'arith']))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -225,8 +230,152 @@ def test_verify_arith_fails_under_optimize_flag():
     assert "FAIL arith.embedding_preserves_values" in done.stdout.splitlines()
 
 
-def test_table_budget_exits_2(capsys):
+def test_table_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "9973,10007")
     assert code == 2 and out == "" and "error" in err
     code, out, err = run(capsys, "compare", "9973,10007", "3,5")
     assert code == 2 and out == "" and "error" in err
+    # the streaming commands build their tables before the first write
+    code, out, err = run(capsys, "plot", "9973,10007")
+    assert code == 2 and out == "" and "error" in err
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, "stats", "9973,10007", "--format", "json",
+                         "--output", str(target))
+    assert code == 2 and out == "" and "error" in err
+    assert not target.exists()
+
+
+def _reference_svg(points, *, title=""):
+    """The SVG renderer as it was before output streamed: one string."""
+    pts = [(int(x), float(y)) for x, y in points]
+    if pts:
+        x_lo = min(x for x, _ in pts)
+        x_hi = max(x for x, _ in pts)
+        y_lo = min(y for _, y in pts)
+        y_hi = max(y for _, y in pts)
+    else:
+        x_lo, x_hi, y_lo, y_hi = 0, 1, 0.0, 1.0
+    if x_lo == x_hi:
+        x_lo, x_hi = x_lo - 1, x_hi + 1
+    if y_lo == y_hi:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+
+    def fmt(value):
+        return f"{value:.2f}"
+
+    def sx(x):
+        return fmt(60 + (x - x_lo) / (x_hi - x_lo) * 680)
+
+    def sy(y):
+        return fmt(600 - 60 - (y - y_lo) / (y_hi - y_lo) * 480)
+
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600">',
+        '<rect x="0" y="0" width="800" height="600" fill="white"/>',
+        '<line x1="60" y1="540" x2="740" y2="540" stroke="black" stroke-width="1"/>',
+        '<line x1="60" y1="60" x2="60" y2="540" stroke="black" stroke-width="1"/>',
+    ]
+    if title:
+        lines.append('<text x="400" y="30" text-anchor="middle" '
+                     f'font-family="monospace" font-size="14">{title}</text>')
+    lines.append(f'<text x="60" y="560" font-family="monospace" font-size="11">{x_lo}</text>')
+    lines.append('<text x="740" y="560" text-anchor="end" '
+                 f'font-family="monospace" font-size="11">{x_hi}</text>')
+    lines.append('<text x="52" y="540" text-anchor="end" '
+                 f'font-family="monospace" font-size="11">{fmt(y_lo)}</text>')
+    lines.append('<text x="52" y="64" text-anchor="end" '
+                 f'font-family="monospace" font-size="11">{fmt(y_hi)}</text>')
+    for x, y in pts:
+        lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="2" fill="steelblue"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_output(gens, lo, hi, output):
+    """What stats/plot printed before streaming: every LengthStats, then one string."""
+    S = numelast.new_monoid(gens)
+    stats = length_stats_range(S, lo, hi)
+    if output == "csv":
+        lines = ["n,max_len,min_len,rho_num,rho_den"]
+        lines.extend(f"{st.n},{st.max_len},{st.min_len},"
+                     f"{st.elasticity.numerator},{st.elasticity.denominator}" for st in stats)
+        return "\n".join(lines) + "\n"
+    if output == "json":
+        rows = [{"n": st.n, "max_len": st.max_len, "min_len": st.min_len,
+                 "rho_num": st.elasticity.numerator, "rho_den": st.elasticity.denominator}
+                for st in stats]
+        return json.dumps(rows, separators=(",", ":")) + "\n"
+    y = {"rho": lambda st: st.elasticity, "maxlen": lambda st: st.max_len,
+         "minlen": lambda st: st.min_len}[output]
+    return _reference_svg([(st.n, y(st)) for st in stats], title=f"{S} {output}")
+
+
+@pytest.mark.parametrize("gens", [(1,), (3, 5), (6, 10, 13, 14), (7, 12, 17, 22)])
+@pytest.mark.parametrize("span", ["default", "negative", "empty", "past_window", "long"])
+def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
+    default_hi = 100 if len(gens) == 1 else gens[-2] * gens[-1] + 10 * gens[0] * gens[-1]
+    lo, hi = {
+        "default": (0, default_hi),
+        "negative": (-4, 30),
+        "empty": (5, 4),
+        "past_window": (2000, 2100),  # past (g_k - 1) g_{k-1} for every monoid here
+        "long": (0, WRITE_CHUNK + 100),  # rows across a chunk boundary
+    }[span]
+    bounds = [] if span == "default" else ["--from", str(lo), "--to", str(hi)]
+    text = ",".join(map(str, gens))
+    target = tmp_path / "out"
+    for output in ("csv", "json", "rho", "maxlen", "minlen"):
+        if output in ("csv", "json"):
+            args = ["stats", text, *bounds, "--format", output]
+        else:
+            args = ["plot", text, *bounds, "--kind", output]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == _reference_output(gens, lo, hi, output), args
+        assert run(capsys, *args, "--output", str(target))[0] == 0
+        assert target.read_bytes() == out.encode(), args
+
+
+def test_closed_stdout_exits_0():
+    # a reader that leaves early, like ``| head -c 10``, ends the output quietly
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    commands = (
+        ["stats", "101,157,203"],
+        ["stats", "101,157,203", "--format", "json"],
+        ["plot", "101,157,203"],
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "numelast", *args], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for args in commands
+    ]
+    try:
+        for args, proc in zip(commands, procs):
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (0, b""), args
+    finally:
+        for proc in procs:
+            proc.kill()  # no-op for a process already waited for
+            proc.wait(timeout=60)
+
+
+def test_stats_memory_does_not_grow_with_range(tmp_path):
+    # the smaller range already fills one chunk; the larger one has 3x the rows
+    rows = WRITE_CHUNK + 400
+    target = str(tmp_path / "out")
+
+    def peak(fmt, hi):
+        tracemalloc.start()
+        try:
+            assert main(["stats", "3,5", "--to", str(hi), "--format", fmt,
+                         "--output", target]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for fmt in ("csv", "json"):
+        peak(fmt, 10)  # first-call set-up (parser, caches) is not a row cost
+        small, large = peak(fmt, rows), peak(fmt, 3 * rows)
+        assert large <= 1.25 * small, (fmt, small, large)
