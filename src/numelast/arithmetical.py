@@ -294,9 +294,10 @@ def phi_embed(
     return image
 
 
-def _same_value_set_conditions(
+def elasticity_sets_equal_arithmetical(
     p1: ArithmeticalParams, p2: ArithmeticalParams
 ) -> bool:
+    """Exact equality test for the two monoids' elasticity sets."""
     if p1 == p2:
         return True
     return (
@@ -307,13 +308,6 @@ def _same_value_set_conditions(
     )
 
 
-def elasticity_sets_equal_arithmetical(
-    p1: ArithmeticalParams, p2: ArithmeticalParams
-) -> bool:
-    """Exact equality test for the two monoids' elasticity sets."""
-    return _same_value_set_conditions(p1, p2)
-
-
 def length_sets_equal_arithmetical(
     p1: ArithmeticalParams, p2: ArithmeticalParams
 ) -> bool:
@@ -322,7 +316,7 @@ def length_sets_equal_arithmetical(
     Coincides with :func:`elasticity_sets_equal_arithmetical`: for these
     monoids the elasticity set determines the length sets and conversely.
     """
-    return _same_value_set_conditions(p1, p2)
+    return elasticity_sets_equal_arithmetical(p1, p2)
 
 
 def arith_max_length(params: ArithmeticalParams, n: int) -> int:

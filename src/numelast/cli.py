@@ -4,7 +4,8 @@ Subcommands: stats (CSV/JSON length statistics over a range), plot (SVG
 scatter of elasticity or length functions), recover (step and ratio of an
 arithmetic progression from its elasticity data alone), compare (equality
 of two elasticity sets), profile (JSON tail decomposition), verify
-(runtime self-check suites).
+(one smoke check per suite of the running copy; the full battery is the
+test suite).
 
 stats and plot stream their output, so memory does not grow with the
 range; a reader that closes stdout early ends them quietly.
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="run the runtime self-check suites")
-    p.add_argument("--suite", choices=("core", "arith", "profile", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -39,6 +39,8 @@ from numelast import (
     witness_element,
 )
 
+from numelast.arithmetical import is_valid_tuple
+
 import oracles
 
 P753 = ArithmeticalParams(7, 5, 3)
@@ -131,11 +133,20 @@ def test_compare_tuples_row_order():
     lo = compare_tuples(P753, ElasticityTuple(0, 1, 4), ElasticityTuple(0, 1, 3))
     assert lo.rule == "row" and lo.relation <= 0
     assert compare_tuples(P753, ElasticityTuple(0, 1, 3), ElasticityTuple(0, 1, 3)).relation == 0
+    # exhaustively: the relation is the value order, and with shared (c, s)
+    # the row order reverses it
+    values = {t: tuple_elasticity(P753, t) for t in enumerate_tuples(P753, 10)}
+    for t1, v1 in values.items():
+        for t2, v2 in values.items():
+            relation = compare_tuples(P753, t1, t2).relation
+            assert relation == (v1 > v2) - (v1 < v2)
+            if (t1.c, t1.s) == (t2.c, t2.s):
+                assert (t1.x - t2.x) * relation <= 0
 
 
 def test_compare_tuples_restricted_monotonicity_exhaustive():
     for params in (P753, P321, ArithmeticalParams(8, 3, 4)):
-        tuples = enumerate_tuples(params, 3 * params.k)
+        tuples = enumerate_tuples(params, max(3 * params.k, 10))
         by_row: dict[int, list[ElasticityTuple]] = {}
         for t in tuples:
             by_row.setdefault(t.x, []).append(t)
@@ -244,8 +255,14 @@ def test_maximal_coprime_tuple_value_separates_sets():
 
 
 def test_maximal_coprime_tuple_small_case_and_guard():
-    t = maximal_coprime_tuple(ArithmeticalParams(4, 1, 2))
-    assert t.is_maximal(ArithmeticalParams(4, 1, 2))
+    # maximal, the residue congruence a'(s + 2) = 1 mod k', and coprime coordinates
+    for params in (ArithmeticalParams(4, 1, 2), ArithmeticalParams(14, 3, 6)):
+        t = maximal_coprime_tuple(params)
+        a, k = params.a, params.k
+        g = gcd(a, k)
+        assert is_valid_tuple(params, t) and t.is_maximal(params)
+        assert (a // g * (t.s + 2)) % (k // g) == 1 % (k // g)
+        assert gcd(t.c * a + t.x, t.c * k + t.s) == 1
     with pytest.raises(NotApplicable):
         maximal_coprime_tuple(P753)  # gcd(7, 3) = 1
 

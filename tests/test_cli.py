@@ -185,11 +185,30 @@ def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
     assert code == 2  # <1> has no tails: still an input error
 
 
-def test_verify_core_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "core")
+VERIFY_LINES = {
+    "core": ["PASS core.length_tables_match_enumeration"],
+    "arith": ["PASS arith.embedding_preserves_values"],
+    "profile": ["PASS profile.profile_decomposition"],
+}
+VERIFY_LINES["all"] = [line for lines in VERIFY_LINES.values() for line in lines]
+
+
+@pytest.mark.parametrize("suite", ["core", "arith", "profile", "all"])
+def test_verify_core_suite(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert "PASS core.length_tables_match_enumeration" in out
-    assert "FAIL" not in out
+    assert out.splitlines() == VERIFY_LINES[suite]
+
+
+def test_verify_all_under_optimize_flag():
+    # the checks decide with if, not assert, so -O prints the same lines
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "numelast", "verify", "--suite", "all"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == VERIFY_LINES["all"]
 
 
 def test_verify_negative_control(capsys, monkeypatch):

@@ -144,7 +144,7 @@ def test_elasticity_examples():
 
 
 def test_elasticity_bounds():
-    for gens in [(3, 5, 7), (7, 12, 17, 22), (20, 21, 45)]:
+    for gens in [(3, 5, 7), (6, 10, 13, 14), (7, 12, 17, 22), (3, 5), (20, 21, 45)]:
         S = new_monoid(gens)
         top = max_elasticity(S)
         for st in length_stats_range(S, 0, 3000):

@@ -111,7 +111,7 @@ def test_contains_examples():
 
 def test_contains_matches_enumeration():
     rng = random.Random(99)
-    fixtures = [(3, 5, 7), (6, 10, 13, 14), (2, 3), (5, 16, 17, 18, 19)]
+    fixtures = [(3, 5, 7), (6, 10, 13, 14), (2, 3), (5, 16, 17, 18, 19), (7, 12, 17, 22), (3, 5)]
     for _ in range(6):
         raw = sorted({rng.randint(2, 25) for _ in range(rng.randint(2, 4))})
         if gcd(*raw) != 1:
@@ -119,7 +119,7 @@ def test_contains_matches_enumeration():
         fixtures.append(tuple(new_monoid(raw).generators))
     for gens in fixtures:
         S = new_monoid(gens)
-        limit = frobenius(S) + S.g1 * S.gk
+        limit = max(frobenius(S) + S.g1 * S.gk, 2 * S.g1 * S.gk)
         table = oracles.membership(S.generators, limit)
         for n in range(limit + 1):
             assert contains(S, n) == table[n], (gens, n)
@@ -133,7 +133,7 @@ def test_frobenius_examples():
 
 
 def test_frobenius_is_last_gap():
-    for gens in [(3, 5, 7), (6, 10, 13, 14), (7, 41), (4, 6, 9)]:
+    for gens in [(3, 5, 7), (6, 10, 13, 14), (7, 41), (4, 6, 9), (2, 3)]:
         S = new_monoid(gens)
         f = frobenius(S)
         assert not contains(S, f)

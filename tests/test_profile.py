@@ -193,16 +193,17 @@ def test_window_shift_identity():
 
 
 def test_compare_profiles_equal_fixture():
-    verdict = compare_profiles(new_monoid([6, 10, 13, 14]), new_monoid([6, 11, 13, 14]), 50)
-    assert verdict.outcome == "equal"
-    assert verdict.witness is None
-    forward, backward = verdict.certificate
-    # one alignment per distinct tail start; 84 = 6 * 14 residue classes
-    assert len(forward) == 31 and len(backward) == 31
     p1, p2 = (build_profile(new_monoid(gens)) for gens in ([6, 10, 13, 14], [6, 11, 13, 14]))
     assert len(p1.starts) == 31 and len(p2.starts) == 31
-    assert len(expand(p1, forward)) == 84 and len(expand(p2, backward)) == 84
-    assert all(a.alpha >= 1 and a.t0 <= 50 for a in forward + backward)
+    for t_max in (30, 50):
+        verdict = compare_profiles(p1.monoid, p2.monoid, t_max)
+        assert verdict.outcome == "equal"
+        assert verdict.witness is None
+        forward, backward = verdict.certificate
+        # one alignment per distinct tail start; 84 = 6 * 14 residue classes
+        assert len(forward) == 31 and len(backward) == 31
+        assert len(expand(p1, forward)) == 84 and len(expand(p2, backward)) == 84
+        assert all(a.alpha >= 1 and a.t0 <= t_max for a in forward + backward)
 
 
 def test_compare_profiles_not_equal_fixture():
@@ -220,9 +221,10 @@ def test_compare_profiles_not_equal_fixture():
 
 
 def test_compare_profiles_limit_mismatch():
-    verdict = compare_profiles(new_monoid([3, 5]), new_monoid([3, 7]), 5)
-    assert verdict.outcome == "not_equal"
-    assert verdict.witness == Fraction(7, 3)
+    for t_max in (5, 10):
+        verdict = compare_profiles(new_monoid([3, 5]), new_monoid([3, 7]), t_max)
+        assert verdict.outcome == "not_equal"
+        assert verdict.witness == Fraction(7, 3)
 
 
 def test_compare_profiles_reflexive_and_symmetric():
