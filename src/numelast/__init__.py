@@ -64,7 +64,6 @@ from .profile import (
     ComparisonVerdict,
     ElasticityProfile,
     SequenceAlignment,
-    TailSequence,
     build_profile,
     compare_built_profiles,
     compare_profiles,

@@ -28,9 +28,7 @@ from math import gcd
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
 from .lengths import iter_lengths
-from .monoid import (
-    NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid, window_tables,
-)
+from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
 from .profile import build_profile, compare_built_profiles, contains_elasticity, profile_to_json
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
@@ -62,15 +60,9 @@ def _default_range(S: NumericalMonoid) -> tuple[int, int]:
 
 
 def _lengths(args) -> tuple[NumericalMonoid, Iterator[tuple[int, int, int]]]:
-    """The monoid and its (n, M(n), m(n)) rows over the requested range.
-
-    iter_lengths builds the tables only on its first step; they are built
-    here, so an input over the table budget exits 2 before any output is
-    opened or written.
-    """
+    """The monoid and its (n, M(n), m(n)) rows over the requested range."""
     S = _parse_generators(args.generators)
     lo, hi = _default_range(S)
-    window_tables(S.generators)
     return S, iter_lengths(
         S,
         lo if args.start is None else args.start,

@@ -42,9 +42,7 @@ class LengthStats:
     elasticity: Fraction
 
 
-def factorizations(
-    S: NumericalMonoid, n: int, *, limit: int = ENUMERATION_LIMIT
-) -> list[Factorization]:
+def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
     """All exponent vectors expressing ``n`` over the generators.
 
     Empty iff n is not in the monoid; n = 0 gives the zero vector.  Ordered
@@ -53,10 +51,9 @@ def factorizations(
     """
     if n < 0:
         return []
-    if n * S.g1 > limit:
+    if n * S.g1 > ENUMERATION_LIMIT:
         raise EnumerationLimitExceeded(
-            f"n={n} exceeds the enumeration guard ({limit}/g_1); "
-            "pass a larger limit= to override"
+            f"n={n} exceeds the enumeration guard ({ENUMERATION_LIMIT}/g_1)"
         )
     gens = S.generators
     out: list[Factorization] = []
@@ -116,21 +113,10 @@ def elasticity(S: NumericalMonoid, n: int) -> Fraction:
 def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """(n, M(n), m(n)) as ints for every monoid element in [lo, hi], ascending.
 
-    Reads the tables directly: inside the window by index, past it by the
-    same O(1) steps back into the window that max_length and min_length take.
+    The tables are built, or TableTooLarge raised, by this call, before the
+    first row is read.
     """
-    t = window_tables(S.generators)
-    g1, gk, limit = t.g1, t.gk, t.limit
-    maxt, mint = t.max_table, t.min_table
-    for n in range(max(lo, 0), min(hi, limit) + 1):
-        small = mint[n]
-        if small >= 0:
-            yield n, maxt[n], small
-    # past the window, which clears the Frobenius number
-    for n in range(max(lo, limit + 1), hi + 1):
-        up = (n - limit + g1 - 1) // g1
-        down = (n - limit + gk - 1) // gk
-        yield n, maxt[n - up * g1] + up, mint[n - down * gk] + down
+    return window_tables(S.generators).rows(lo, hi)
 
 
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:

@@ -14,6 +14,7 @@ Normalization runs the same fill over the raw generators.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .errors import (
     ZeroGenerator,
 )
 
-#: Default cap on the largest generator new_monoid accepts.
+#: Cap on the largest generator new_monoid accepts.
 MAX_GENERATOR = 10**6
 
 #: Most table entries one monoid may take, 2 ((g_k - 1) g_{k-1} + 1) for its
@@ -113,7 +114,7 @@ class ArithmeticalParams:
         return Fraction(self.a + self.k * self.d, self.a)
 
 
-def new_monoid(raw, *, max_generator: int = MAX_GENERATOR) -> NumericalMonoid:
+def new_monoid(raw) -> NumericalMonoid:
     """Build the monoid generated by ``raw``.
 
     Sorts, deduplicates, and drops generators representable over the smaller
@@ -126,9 +127,9 @@ def new_monoid(raw, *, max_generator: int = MAX_GENERATOR) -> NumericalMonoid:
     if any(g < 1 for g in entries):
         raise ZeroGenerator(f"generators must be >= 1, got {sorted(entries)}")
     gens = sorted(set(entries))
-    if gens[-1] > max_generator:
+    if gens[-1] > MAX_GENERATOR:
         raise GeneratorTooLarge(
-            f"largest generator {gens[-1]} exceeds the cap {max_generator}"
+            f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
         )
     if gcd(*gens) != 1:
         raise NonCoprime(f"gcd of {tuple(gens)} is {gcd(*gens)}, expected 1")
@@ -212,6 +213,22 @@ class WindowTables:
         steps = (n - self.limit + self.gk - 1) // self.gk
         return self.min_table[n - steps * self.gk] + steps
 
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+        """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending:
+        inside the window by index, past it by the same O(1) steps back
+        that max_length and min_length take."""
+        g1, gk, limit = self.g1, self.gk, self.limit
+        maxt, mint = self.max_table, self.min_table
+        for n in range(max(lo, 0), min(hi, limit) + 1):
+            small = mint[n]
+            if small >= 0:
+                yield n, maxt[n], small
+        # past the window, which clears the Frobenius number
+        for n in range(max(lo, limit + 1), hi + 1):
+            up = (n - limit + g1 - 1) // g1
+            down = (n - limit + gk - 1) // gk
+            yield n, maxt[n - up * g1] + up, mint[n - down * gk] + down
+
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def window_tables(generators: tuple[int, ...]) -> WindowTables:
@@ -225,7 +242,7 @@ def contains(S: NumericalMonoid, n: int) -> bool:
     if n < 0:
         return False
     t = window_tables(S.generators)
-    return n > t.frobenius or t.min_table[n] >= 0
+    return n > t.frobenius or t.min_length(n) >= 0
 
 
 def frobenius(S: NumericalMonoid) -> int:

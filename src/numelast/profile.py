@@ -4,8 +4,8 @@ Past the window base B0 = g_{k-1} g_k, the value of every element n is
 determined by its residue class modulo the period g_1 g_k: class i, through
 window element B0 + i, carries the monotone sequence (M0 + t g_k) / (m0 + t g_1),
 t = 0, 1, 2, ..., increasing toward g_k/g_1, with M0 and m0 the lengths of
-B0 + i.  The finite part records every value attained below B0 + period, so
-the pair (finite part, sequences) describes the whole value set exactly and
+B0 + i.  The finite part maps each value attained below B0 + period to its
+smallest witness; with the sequences it describes the whole value set, and
 membership of any rational is decidable by solving each sequence for t.
 
 A profile keeps M0 and m0 in two integer columns indexed by class, and an
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -31,56 +31,30 @@ from .lengths import iter_lengths
 from .monoid import NumericalMonoid, frobenius
 
 
-@dataclass(frozen=True)
-class TailSequence:
-    """One residue class: starting element n0, M(n0), m(n0)."""
-
-    n0: int
-    max0: int
-    min0: int
-    constant: bool  # value already equals g_k/g_1, so the whole tail is flat
-
-
 @dataclass
 class ElasticityProfile:
-    """Finite part, tail columns and start index; ``sequences`` shows the
-    columns as TailSequence objects, each made when it is read."""
+    """Finite part, tail columns and start index of one elasticity set.
+
+    Class i's sequence starts at n0 = base + i with M0 = max0[i] and
+    m0 = min0[i]; it is flat at the limit when max0[i] g_1 = min0[i] g_k.
+    """
 
     monoid: NumericalMonoid
     base: int
     period: int
-    finite_part: tuple[tuple[Fraction, int], ...]  # (value, smallest witness >= 1)
+    finite_part: dict[Fraction, int]  # value -> smallest witness >= 1, in increasing value
     max0: array  # M(base + i) for class i
     min0: array  # m(base + i) for class i
     starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
-    _finite_lookup: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._finite_lookup = {value: witness for value, witness in self.finite_part}
 
     @property
     def limit(self) -> Fraction:
         return Fraction(self.monoid.gk, self.monoid.g1)
 
     @property
-    def sequences(self) -> Sequence[TailSequence]:
-        return _TailView(self)
-
-
-class _TailView(Sequence):
-    """Read-only view of a profile's tail columns, one TailSequence per class."""
-
-    def __init__(self, profile: ElasticityProfile):
-        self._profile = profile
-
-    def __len__(self) -> int:
-        return len(self._profile.max0)
-
-    def __getitem__(self, index: int) -> TailSequence:
-        p = self._profile
-        i = range(len(p.max0))[index]  # IndexError past either end, as a tuple's
-        big, small = p.max0[i], p.min0[i]
-        return TailSequence(p.base + i, big, small, big * p.monoid.g1 == small * p.monoid.gk)
+    def sequences(self) -> range:
+        """n0 = base + i, the first element of class i's sequence."""
+        return range(self.base, self.base + self.period)
 
 
 @dataclass(frozen=True)
@@ -147,7 +121,7 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     finite = sorted(reduced.items(), key=lambda item: item[0][0] * K // item[0][1])
     return ElasticityProfile(
         S, base, period,
-        tuple((Fraction(num, den), n) for (num, den), n in finite),
+        {Fraction(num, den): n for (num, den), n in finite},
         max0, min0, starts,
     )
 
@@ -172,17 +146,17 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     q = Fraction(q)
     if q < 1 or q > profile.limit:
         return False, None
-    witness = profile._finite_lookup.get(q)
+    witness = profile.finite_part.get(q)
     if witness is not None:
         return True, witness
     gens = profile.monoid.generators
     g1, gk = gens[0], gens[-1]
     num, den = q.numerator, q.denominator
-    slope = num * g1 - den * gk  # negative for q below the limit
-    if slope == 0:
-        # q equals the limit, which is always attained (normally the finite
-        # part already answered with a smaller witness)
-        return True, g1 * gk
+    # Negative: q is below the limit, because the finite part holds the
+    # limit.  M(g_1 g_k) = g_k (g_k copies of g_1, no factor is smaller) and
+    # m(g_1 g_k) = g_1 (g_1 copies of g_k, no factor is larger), and
+    # g_1 g_k <= g_{k-1} g_k = base lies below the end of the finite part.
+    slope = num * g1 - den * gk
     for (big, small), i in profile.starts.items():
         tn = den * big - num * small
         if tn % slope:
@@ -199,7 +173,7 @@ def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[in
     Each distinct tail start is walked once.  Tail pairs are not reduced;
     callers compare them through exact keys.
     """
-    for value, _ in profile.finite_part:
+    for value in profile.finite_part:
         yield value.numerator, value.denominator
     g1, gk = profile.monoid.g1, profile.monoid.gk
     for big, small in profile.starts:
@@ -209,7 +183,7 @@ def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[in
 
 def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
     """An upper bound on the denominators of _bounded_values."""
-    finite = max(value.denominator for value, _ in profile.finite_part)
+    finite = max(value.denominator for value in profile.finite_part)
     tail = max(small for _, small in profile.starts) + t_max * profile.monoid.g1
     return max(finite, tail)
 
@@ -330,7 +304,7 @@ def profile_to_dict(profile: ElasticityProfile) -> dict:
         "period": profile.period,
         "finite_part": [
             [value.numerator, value.denominator, witness]
-            for value, witness in profile.finite_part
+            for value, witness in profile.finite_part.items()
         ],
         "sequences": [list(row) for row in zip(count(profile.base), profile.max0, profile.min0)],
     }

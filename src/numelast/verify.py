@@ -86,7 +86,7 @@ SUITES: dict[str, tuple[tuple[str, object], ...]] = {
 }
 
 
-def run_suites(names, writer=print) -> bool:
+def run_suites(names) -> bool:
     """Run the named suites, printing one PASS/FAIL line per check."""
     all_ok = True
     for suite in names:
@@ -94,9 +94,9 @@ def run_suites(names, writer=print) -> bool:
             try:
                 ok = bool(check())
             except Exception as exc:  # a failed assertion is a failed check
-                writer(f"FAIL {suite}.{name} ({type(exc).__name__}: {exc})")
+                print(f"FAIL {suite}.{name} ({type(exc).__name__}: {exc})")
                 all_ok = False
                 continue
-            writer(f"{'PASS' if ok else 'FAIL'} {suite}.{name}")
+            print(f"{'PASS' if ok else 'FAIL'} {suite}.{name}")
             all_ok = all_ok and ok
     return all_ok

@@ -220,14 +220,14 @@ def test_criterion_7_profile_decomposition():
         rho = oracles.elasticity_map(gens, bound)
         for n, value in rho.items():
             if n < prof.base:
-                if value not in prof._finite_lookup:
+                if value not in prof.finite_part:
                     ok = False
             else:
                 idx = (n - prof.base) % prof.period
                 if sequence_value(prof, idx, (n - prof.base) // prof.period) != value:
                     ok = False
         top = prof.limit
-        for idx in range(len(prof.sequences)):
+        for idx in range(prof.period):
             v0 = sequence_value(prof, idx, 0)
             v1 = sequence_value(prof, idx, 1)
             v1000 = sequence_value(prof, idx, 1000)
@@ -248,15 +248,15 @@ def test_criterion_7_literal_absolute_tolerance():
     for gens in FIXTURES_7:
         prof = build_profile(new_monoid(gens))
         top = prof.limit
-        for idx in range(len(prof.sequences)):
+        for idx in range(prof.period):
             assert top - sequence_value(prof, idx, 1000) <= Fraction(1, 100)
 
 
 def test_criterion_7_worst_gap_documented():
     prof = build_profile(new_monoid([7, 41]))
-    seq = prof.sequences[567 - prof.base]
-    assert (seq.max0, seq.min0) == (81, 47)
-    gap = prof.limit - sequence_value(prof, 567 - prof.base, 1000)
+    i = 567 - prof.base
+    assert (prof.max0[i], prof.min0[i]) == (81, 47)
+    gap = prof.limit - sequence_value(prof, i, 1000)
     assert gap == Fraction(1360, 49329)
     assert gap > Fraction(1, 100)
 

@@ -14,9 +14,10 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numelast import (
@@ -29,14 +30,16 @@ from numelast import (
     new_monoid,
 )
 
+import oracles
+
 T_MAX = 50
 
 
 def _candidates(profile, t_max):
     g1, gk = profile.monoid.g1, profile.monoid.gk
-    values = {value for value, _ in profile.finite_part}
+    values = set(profile.finite_part)
     # sequences that start from the same (M0, m0) take the same values
-    for big, small in {(seq.max0, seq.min0) for seq in profile.sequences}:
+    for big, small in set(zip(profile.max0, profile.min0)):
         values.update(Fraction(big + t * gk, small + t * g1) for t in range(t_max + 1))
     return sorted(values)
 
@@ -44,27 +47,27 @@ def _candidates(profile, t_max):
 def _align(src, dst, t_max):
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    targets = list(dst.sequences)  # once: the view makes a TailSequence per access
-    constant = [j for j, seq in enumerate(targets) if seq.constant]
+    targets = list(zip(dst.max0, dst.min0))
+    constant = [j for j, (M1, m1) in enumerate(targets) if M1 * gp == m1 * Gp]
     out = []
-    for i, seq in enumerate(src.sequences):
-        if seq.constant:
+    for i, (M0, m0) in enumerate(zip(src.max0, src.min0)):
+        if M0 * g == m0 * G:
             if not constant:
                 return None
             out.append(SequenceAlignment(i, constant[0], 1, 0, 0))
             continue
-        D = seq.max0 * gp - Gp * seq.min0
-        for j, other in enumerate(targets):
-            if other.constant:
+        D = M0 * gp - Gp * m0
+        for j, (M1, m1) in enumerate(targets):
+            if M1 * gp == m1 * Gp:
                 continue
-            alpha, a_rem = divmod(other.max0 * g - G * other.min0, D)
-            beta, b_rem = divmod(other.max0 * seq.min0 - seq.max0 * other.min0, D)
+            alpha, a_rem = divmod(M1 * g - G * m1, D)
+            beta, b_rem = divmod(M1 * m0 - M0 * m1, D)
             if a_rem or b_rem or alpha < 1:
                 continue
             t0 = max(0, -(beta // alpha))
             if t0 <= t_max and all(
-                (seq.max0 + t * G) * (other.min0 + (alpha * t + beta) * gp)
-                == (other.max0 + (alpha * t + beta) * Gp) * (seq.min0 + t * g)
+                (M0 + t * G) * (m1 + (alpha * t + beta) * gp)
+                == (M1 + (alpha * t + beta) * Gp) * (m0 + t * g)
                 for t in (0, 1, 2)
             ):
                 out.append(SequenceAlignment(i, j, alpha, beta, t0))
@@ -77,18 +80,18 @@ def _align(src, dst, t_max):
 def _first_indices(profile):
     """(M0, m0) -> index of the first sequence with that start, in index order."""
     firsts = {}
-    for i, seq in enumerate(profile.sequences):
-        firsts.setdefault((seq.max0, seq.min0), i)
+    for i, start in enumerate(zip(profile.max0, profile.min0)):
+        firsts.setdefault(start, i)
     return firsts
 
 
 def expand(profile, side):
     """One certificate side per residue class: residue i takes the alignment
     of its start, with source i."""
-    seqs = profile.sequences
-    by_start = {(seqs[a.source].max0, seqs[a.source].min0): a for a in side}
+    starts = list(zip(profile.max0, profile.min0))
+    by_start = {starts[a.source]: a for a in side}
     assert len(by_start) == len(side)
-    return tuple(replace(by_start[seq.max0, seq.min0], source=i) for i, seq in enumerate(seqs))
+    return tuple(replace(by_start[start], source=i) for i, start in enumerate(starts))
 
 
 def _expanded(verdict, S1, S2):
@@ -195,8 +198,48 @@ def _same_limit_pair(draw):
     return S1, S2
 
 
+@cache
+def _oracle_parts(gens):
+    """The values below base + period and the distinct tail starts of
+    <gens>, from the recurrence oracle alone."""
+    base, period = gens[-2] * gens[-1], gens[0] * gens[-1]
+    maxs, mins = oracles.recurrence_length_arrays(gens, base + period - 1)
+    finite = {Fraction(maxs[n], mins[n]) for n in range(1, base + period) if maxs[n] >= 0}
+    return finite, {(maxs[n], mins[n]) for n in range(base, base + period)}
+
+
+def _oracle_contains(gens, q):
+    finite, starts = _oracle_parts(gens)
+    if q in finite:  # which holds the limit, so the slope below is not 0
+        return True
+    slope = q.numerator * gens[0] - q.denominator * gens[-1]
+    for big, small in starts:  # q (m0 + t g_1) = M0 + t g_k for some t >= 0
+        t, rem = divmod(q.denominator * big - q.numerator * small, slope)
+        if rem == 0 and t >= 0:
+            return True
+    return False
+
+
+def _check_alignment(a, src, dst, t_max):
+    """Re-verify one certificate entry from the profile columns and the
+    oracle: from step t0 on, source step t equals target step alpha t + beta,
+    and every source value before t0 lies in the target's set."""
+    G, g, Gp, gp = src.monoid.gk, src.monoid.g1, dst.monoid.gk, dst.monoid.g1
+    M0, m0 = src.max0[a.source], src.min0[a.source]
+    M1, m1 = dst.max0[a.target], dst.min0[a.target]
+    assert a.alpha >= 1 and a.t0 <= t_max
+    assert a.alpha * a.t0 + a.beta >= 0  # so every matched target step is >= 0
+    # both sides are polynomials of degree 2 in t: three points make an identity
+    for t in (a.t0, a.t0 + 1, a.t0 + 2):
+        s = a.alpha * t + a.beta
+        assert (M0 + t * G) * (m1 + s * gp) == (M1 + s * Gp) * (m0 + t * g)
+    for t in range(a.t0):
+        assert _oracle_contains(dst.monoid.generators, Fraction(M0 + t * G, m0 + t * g))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_same_limit_pair())
+@example((new_monoid([4, 5, 7]), new_monoid([4, 6, 7])))  # has an alignment with t0 = 1
 def test_compare_is_reflexive_and_symmetric(pair):
     p1, p2 = build_profile(pair[0]), build_profile(pair[1])
     verdicts = [compare_built_profiles(p, p) for p in (p1, p2)]
@@ -206,8 +249,13 @@ def test_compare_is_reflexive_and_symmetric(pair):
     if there.certificate is not None:
         assert there.certificate == back.certificate[::-1]
     # each side holds one alignment per distinct source start, named by the
-    # start's first residue index
+    # start's first residue index; the alignments, and each finite part lying
+    # in the other set, check out against the oracle on their own
     runs = [(v, p, p) for v, p in zip(verdicts, (p1, p2))] + [(there, p1, p2), (back, p2, p1)]
     for verdict, *sources in runs:
-        for side, src in zip(verdict.certificate or (), sources):
+        for side, src, dst in zip(verdict.certificate or (), sources, sources[::-1]):
             assert [a.source for a in side] == list(_first_indices(src).values())
+            for a in side:
+                _check_alignment(a, src, dst, verdict.checked_bound)
+            finite, _ = _oracle_parts(src.monoid.generators)
+            assert all(_oracle_contains(dst.monoid.generators, q) for q in finite)

@@ -21,6 +21,7 @@ from numelast import (
     min_length,
     new_monoid,
 )
+from numelast.lengths import ENUMERATION_LIMIT
 
 import oracles
 
@@ -67,7 +68,7 @@ def test_enumeration_guard():
     with pytest.raises(EnumerationLimitExceeded):
         factorizations(S, 10**7)
     with pytest.raises(EnumerationLimitExceeded):
-        factorizations(S, 100, limit=10)
+        factorizations(S, ENUMERATION_LIMIT // S.g1 + 1)
     assert factorizations(S, 100)  # default limit admits desk-scale elements
 
 

@@ -17,11 +17,12 @@ from numelast import (
     contains,
     detect_arithmetical,
     frobenius,
+    iter_lengths,
     max_elasticity,
     new_monoid,
 )
 
-from numelast.monoid import TABLE_LIMIT
+from numelast.monoid import MAX_GENERATOR, TABLE_LIMIT
 
 import oracles
 
@@ -49,7 +50,7 @@ def test_new_monoid_rejects_empty_and_zero():
 def test_new_monoid_generator_cap():
     with pytest.raises(GeneratorTooLarge):
         new_monoid([3, 10**6 + 1])
-    assert new_monoid([3, 10**6 + 1], max_generator=10**7).generators == (3, 10**6 + 1)
+    assert new_monoid([3, MAX_GENERATOR]).generators == (3, MAX_GENERATOR)
 
 
 def test_table_budget():
@@ -59,6 +60,8 @@ def test_table_budget():
         contains(S, 5)
     with pytest.raises(TableTooLarge):
         frobenius(S)
+    with pytest.raises(TableTooLarge):
+        iter_lengths(S, 0, 1)  # on the call, before any row is read
     assert time.perf_counter() - start < 1.0  # refused before any table is built
     # the largest monoid the benchmark and the ROADMAP ladder use fits: two
     # tables of (g_k - 1) g_{k-1} + 1 entries, 1557110 in all

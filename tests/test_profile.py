@@ -31,8 +31,8 @@ S35 = new_monoid([3, 5])
 def test_build_profile_shape():
     prof = build_profile(S35)
     assert prof.base == 15 and prof.period == 15
-    seq = prof.sequences[18 - prof.base]
-    assert (seq.n0, seq.max0, seq.min0) == (18, 6, 4)
+    i = 18 - prof.base
+    assert (prof.base + i, prof.max0[i], prof.min0[i]) == (18, 6, 4)
     assert sequence_value(prof, 3, 1) == Fraction(11, 7)
     assert elasticity(S35, 33) == Fraction(11, 7)
 
@@ -45,18 +45,19 @@ def test_profile_rejects_single_generator():
 def test_finite_part_contains_one_with_witness_g1():
     for gens in [(3, 5), (7, 12, 17, 22), (20, 21, 45)]:
         prof = build_profile(new_monoid(gens))
-        assert prof._finite_lookup[Fraction(1)] == gens[0]
+        assert prof.finite_part[Fraction(1)] == gens[0]
 
 
 def test_sequences_cover_window_and_members():
     prof = build_profile(S35)
-    assert [seq.n0 for seq in prof.sequences] == list(range(15, 30))
+    assert list(prof.sequences) == list(range(15, 30))
     S = new_monoid([7, 12, 17, 22])
     prof2 = build_profile(S)
-    assert len(prof2.sequences) == prof2.period
-    for seq in prof2.sequences:
-        assert seq.max0 == max_length(S, seq.n0)
-        assert seq.min0 == min_length(S, seq.n0)
+    assert len(prof2.sequences) == len(prof2.max0) == len(prof2.min0) == prof2.period
+    for i, n0 in enumerate(prof2.sequences):
+        assert n0 == prof2.base + i
+        assert prof2.max0[i] == max_length(S, n0)
+        assert prof2.min0[i] == min_length(S, n0)
 
 
 def test_window_check_survives_optimize_flag():
@@ -95,9 +96,10 @@ def test_sequences_increase_toward_limit():
     for gens in [(3, 5), (7, 12, 17, 22), (7, 41)]:
         prof = build_profile(new_monoid(gens))
         top = prof.limit
-        for idx, seq in enumerate(prof.sequences):
+        g1, gk = gens[0], gens[-1]
+        for idx in range(prof.period):
             prev = sequence_value(prof, idx, 0)
-            assert seq.constant == (prev == top)
+            assert (prof.max0[idx] * g1 == prof.min0[idx] * gk) == (prev == top)
             for t in range(1, 40):
                 cur = sequence_value(prof, idx, t)
                 if prev < top:
@@ -113,10 +115,10 @@ def test_sequence_gap_bounded_by_reciprocal_steps():
         prof = build_profile(new_monoid(gens))
         top = prof.limit
         gk = gens[-1]
-        for idx, seq in enumerate(prof.sequences):
+        for idx in range(prof.period):
             for t in (1, 7, 100, 1000):
                 gap = top - sequence_value(prof, idx, t)
-                assert 0 <= gap <= Fraction(gk * seq.max0, t)
+                assert 0 <= gap <= Fraction(gk * prof.max0[idx], t)
 
 
 def test_values_below_any_margin_are_finitely_many():
@@ -125,8 +127,8 @@ def test_values_below_any_margin_are_finitely_many():
     prof = build_profile(S35)
     top = prof.limit
     margin = Fraction(1, 10)
-    for idx, seq in enumerate(prof.sequences):
-        if seq.constant:
+    for idx in range(prof.period):
+        if prof.max0[idx] * 3 == prof.min0[idx] * 5:  # flat at the limit 5/3
             continue
         crossed = False
         for t in range(200):
@@ -134,7 +136,7 @@ def test_values_below_any_margin_are_finitely_many():
                 crossed = True
                 break
         assert crossed
-    late = {sequence_value(prof, idx, 500) for idx in range(len(prof.sequences))}
+    late = {sequence_value(prof, idx, 500) for idx in range(prof.period)}
     assert all(v > top - margin for v in late)
 
 
@@ -171,7 +173,7 @@ def test_profile_decomposition_matches_bruteforce():
         rho = oracles.elasticity_map(gens, bound)
         for n, value in rho.items():
             if n < prof.base:
-                assert value in prof._finite_lookup
+                assert value in prof.finite_part
             else:
                 idx = (n - prof.base) % prof.period
                 t = (n - prof.base) // prof.period
