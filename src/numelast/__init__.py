@@ -31,7 +31,6 @@ from .errors import (
     NonCoprime,
     NonIntegerResult,
     NotApplicable,
-    NotArithmetical,
     NotInMonoid,
     SOutOfRange,
     SingleGenerator,

@@ -22,11 +22,10 @@ from .errors import (
     InvalidTuple,
     NonIntegerResult,
     NotApplicable,
-    NotArithmetical,
     NotInMonoid,
     SOutOfRange,
 )
-from .monoid import ArithmeticalParams, detect_arithmetical
+from .monoid import ArithmeticalParams
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,8 @@ def recover_d(f, g) -> int:
     g = Fraction(g)
     if not 1 < f < g:
         raise ValueError(f"need 1 < f < g, got f={f}, g={g}")
-    value = (g - 1) * (f - 1) / (g - f)
-    if value.denominator != 1 or value <= 0:
+    value = (g - 1) * (f - 1) / (g - f)  # positive, as 1 < f < g
+    if value.denominator != 1:
         raise NonIntegerResult(
             f"(g-1)(f-1)/(g-f) = {value} is not a positive integer; "
             "inputs are not the second and third minimal elasticities"
@@ -177,19 +176,12 @@ def recover_d(f, g) -> int:
     return int(value)
 
 
-def three_minimal_elasticities(S) -> tuple[Fraction, Fraction, Fraction]:
+def three_minimal_elasticities(params: ArithmeticalParams) -> tuple[Fraction, Fraction, Fraction]:
     """The three smallest distinct elasticity values, in increasing order.
 
-    Accepts a monoid or its arithmetic parameters.  Candidates are taken
-    from slices 0..2k+2, which always contain the three smallest values;
-    the first returned value is exactly 1.
+    Candidates are taken from slices 0..2k+2, which always contain the three
+    smallest values; the first returned value is exactly 1.
     """
-    if isinstance(S, ArithmeticalParams):
-        params = S
-    else:
-        params = detect_arithmetical(S)
-        if params is None:
-            raise NotArithmetical(f"{S} is not generated by an arithmetic progression")
     values = sorted(
         {tuple_elasticity(params, t) for t in enumerate_tuples(params, 2 * params.k + 2)}
     )
@@ -227,29 +219,22 @@ def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
     by a multiple of (k', a') chosen through a Bezout relation so that
     gcd(ca + x, ck + s) = 1 for the resulting tuple.  The returned tuple is
     maximal, keeps the residue congruence, and satisfies the gcd condition;
-    all three are checked.  The integer b below is the smallest-magnitude
-    solution of the strict inequality, ties broken toward negative b.
+    all three are checked.
     """
     a, d, k = params.a, params.d, params.k
     g = gcd(a, k)
     if g < 2:
         raise NotApplicable(f"gcd(a={a}, k={k}) must be at least 2")
     ap, kp = a // g, k // g
-    s = 0 if kp == 1 else (pow(ap, -1, kp) - 2) % kp
+    s = (pow(ap, -1, kp) - 2) % kp  # pow(ap, -1, 1) is 0, so s = 0 for k' = 1
     # (s + 2) a' = 1 mod k' by the choice of s (for k' = 1 any integer is)
     x = ((s + 2) * ap - 1) // kp + d
     p, q = _bezout(ap, kp)
     # p a' + q k' = gcd(a', k') = 1
     target = p * x + q * s
     slope = s * ap - x * kp  # negative: xk' exceeds sa'
-    b = None
-    mag = 0
-    while b is None:
-        for cand in (0,) if mag == 0 else (-mag, mag):
-            if cand * slope > target:
-                b = cand
-                break
-        mag += 1
+    # the smallest-magnitude b with b slope > target, that is b < target/slope
+    b = 0 if target < 0 else -(target // -slope) - 1
     m = 1 - (p + b * kp) * x - (q - b * ap) * s
     # m > 0: m = 1 - (p x + q s) + b (s a' - x k') = 1 - target + b slope,
     # and b slope > target
@@ -340,11 +325,8 @@ def arith_min_length(params: ArithmeticalParams, n: int) -> int:
     a, d, k = params.a, params.d, params.k
     w = a + k * d
     lo = -((-n) // w)
-    if d == 1:
-        x = lo
-    else:
-        x0 = (n * pow(w, -1, d)) % d
-        x = lo + ((x0 - lo) % d)
+    x0 = (n * pow(w, -1, d)) % d  # 0 when d = 1, as pow(w, -1, 1) is 0
+    x = lo + ((x0 - lo) % d)
     y = (x * w - n) // d  # exact: x w = n mod d, and 0 <= y < w as lo <= x < lo + d
     if y > k * x:
         raise NotInMonoid(f"{n} is not in the monoid of {params}")

@@ -170,10 +170,9 @@ def _arithmetical_witness(p1, p2):
         return max(s1, s2)
     trio1 = ar.three_minimal_elasticities(p1)
     trio2 = ar.three_minimal_elasticities(p2)
-    if trio1 != trio2:
-        for v1, v2 in zip(trio1[1:], trio2[1:]):
-            if v1 != v2:
-                return min(v1, v2)
+    for v1, v2 in zip(trio1[1:], trio2[1:]):
+        if v1 != v2:
+            return min(v1, v2)
     # same d and a/k: exactly one side has gcd(a, k) >= 2 and carries extras
     side = p1 if gcd(p1.a, p1.k) >= 2 else p2
     return ar.tuple_elasticity(side, ar.maximal_coprime_tuple(side))
@@ -182,9 +181,6 @@ def _arithmetical_witness(p1, p2):
 def cmd_compare(args) -> int:
     S1 = _parse_generators(args.gens1)
     S2 = _parse_generators(args.gens2)
-    if len(S1.generators) == 1 or len(S2.generators) == 1:
-        print("error: comparison needs at least two generators", file=sys.stderr)
-        return 2
     prof1 = build_profile(S1)
     prof2 = build_profile(S2)
     verdict = compare_built_profiles(prof1, prof2, args.tmax)

@@ -41,10 +41,6 @@ class InvalidTuple(MonoidError):
     """The (c, s, x) triple violates the elasticity-tuple bounds."""
 
 
-class NotArithmetical(MonoidError):
-    """The monoid is not generated by an arithmetic progression."""
-
-
 class NotApplicable(MonoidError):
     """The construction requires gcd(a, k) >= 2."""
 

@@ -7,8 +7,8 @@ minimal factorization lengths M(n) and m(n) over one window, up to where
 both of their recurrences have taken over, and the Frobenius number (the
 largest integer outside the monoid), all filled in one pass.  Membership,
 the Frobenius number and every length query read that object, which is
-built once per generating set and kept in one bounded cache.
-Normalization runs the same fill over the raw generators.
+built once per generating set and kept in one bounded cache.  The
+constructor validates a generating set; new_monoid caps and normalizes it.
 """
 
 from __future__ import annotations
@@ -120,19 +120,13 @@ def new_monoid(raw) -> NumericalMonoid:
     Sorts, deduplicates, and drops generators representable over the smaller
     ones, so the result carries the minimal generating set: g is kept iff its
     only factorization over the raw set is g itself, that is iff M(g) = 1.
+    Raises EmptyInput, ZeroGenerator or NonCoprime, then GeneratorTooLarge.
     """
-    entries = [int(g) for g in raw]
-    if not entries:
-        raise EmptyInput("no generators given")
-    if any(g < 1 for g in entries):
-        raise ZeroGenerator(f"generators must be >= 1, got {sorted(entries)}")
-    gens = sorted(set(entries))
+    gens = NumericalMonoid(tuple(sorted({int(g) for g in raw}))).generators
     if gens[-1] > MAX_GENERATOR:
         raise GeneratorTooLarge(
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
         )
-    if gcd(*gens) != 1:
-        raise NonCoprime(f"gcd of {tuple(gens)} is {gcd(*gens)}, expected 1")
     max_table, _, _ = _fill(gens, gens[-1])
     return NumericalMonoid(tuple(g for g in gens if max_table[g] == 1))
 
@@ -267,6 +261,7 @@ def detect_arithmetical(S: NumericalMonoid) -> ArithmeticalParams | None:
     if any(b - a != d for a, b in zip(gens, gens[1:])):
         return None
     a, k = gens[0], len(gens) - 1
-    if gcd(a, d) != 1 or not 1 <= k < a:
+    # gcd(a, d) is the generators' gcd, 1; k >= a only in a non-minimal set
+    if k >= a:
         return None
     return ArithmeticalParams(a, d, k)

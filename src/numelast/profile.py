@@ -109,8 +109,7 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
         starts.setdefault((big, small), n - base)
         max0.append(big)
         min0.append(small)
-    if len(max0) != period:
-        raise InternalInconsistency(f"the window of {S} holds a non-member")
+    # max0 has period entries: rows yields every n past (g_k - 1) g_{k-1} < base
     reduced: dict[tuple[int, int], int] = {}  # reduced M/m -> smallest witness
     for (big, small), n in first.items():  # in increasing n
         g = gcd(big, small)
@@ -223,12 +222,11 @@ def _align_sequences(
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
     targets = [(j, M1, m1) for (M1, m1), j in dst.starts.items() if M1 * gp != m1 * Gp]
-    constant_target = next((j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp), None)
+    # always found: n = c g_1 g_k in the window has M(n) = n/g_1, m(n) = n/g_k
+    constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
     out = []
     for (M0, m0), i in src.starts.items():
         if M0 * g == m0 * G:  # the whole tail is flat at the limit
-            if constant_target is None:
-                return None
             out.append(SequenceAlignment(i, constant_target, 1, 0, 0))
             continue
         # An alignment needs (M0 + tG)(m1 + (alpha t + beta) g') =
@@ -243,9 +241,7 @@ def _align_sequences(
             a_num = M1 * g - G * m1
             if a_num % D:
                 continue
-            alpha = a_num // D
-            if alpha < 1:
-                continue
+            alpha = a_num // D  # >= 1: D < 0 and a_num < 0, both tails below the limit
             b_num = M1 * m0 - M0 * m1
             if b_num % D:
                 continue

@@ -1,7 +1,7 @@
 """Smoke check of the running copy, behind the ``verify`` CLI command.
 
 One check per suite re-derives a library result along an independent route
-(direct enumeration, the value-preserving embedding, the tail
+(table-free enumeration, the value-preserving embedding, the tail
 decomposition) at desk scale and returns True on agreement.  The checks
 need neither pytest nor the test oracles, and they decide with ``if``, not
 ``assert``, so they also run on an installed copy under ``python -O``.
@@ -14,34 +14,18 @@ from . import arithmetical as ar
 from . import monoid as mo
 from . import profile as pr
 from .lengths import (
+    factorizations as _factorizations,
     length_stats_range as _length_stats_range,
     max_length as _max_length,
     min_length as _min_length,
 )
 
 
-def _enumerate_lengths(gens: tuple[int, ...], n: int) -> set[int]:
-    # straight recursive enumeration, independent of the DP tables
-    out: set[int] = set()
-
-    def descend(i: int, rem: int, count: int) -> None:
-        if i == 0:
-            if rem % gens[0] == 0:
-                out.add(count + rem // gens[0])
-            return
-        g = gens[i]
-        for e in range(rem // g + 1):
-            descend(i - 1, rem - e * g, count + e)
-
-    descend(len(gens) - 1, n, 0)
-    return out
-
-
 def check_length_tables_against_enumeration() -> bool:
     for gens in ((3, 5, 7), (6, 10, 13, 14), (7, 12, 17, 22), (3, 5)):
         S = mo.new_monoid(gens)
         for n in range(0, 260):
-            lengths = _enumerate_lengths(S.generators, n)
+            lengths = {f.length for f in _factorizations(S, n)}
             if not lengths:
                 continue
             if _max_length(S, n) != max(lengths):

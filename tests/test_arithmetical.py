@@ -15,7 +15,6 @@ from numelast import (
     InvalidTuple,
     NonIntegerResult,
     NotApplicable,
-    NotArithmetical,
     NotInMonoid,
     SOutOfRange,
     arith_max_length,
@@ -198,8 +197,6 @@ def test_recover_d_examples():
 def test_three_minimal_examples():
     assert three_minimal_elasticities(P753) == (1, Fraction(16, 11), Fraction(3, 2))
     assert three_minimal_elasticities(P321) == (1, Fraction(11, 9), Fraction(5, 4))
-    with pytest.raises(NotArithmetical):
-        three_minimal_elasticities(new_monoid([20, 21, 45]))
 
 
 def test_three_minimal_against_bruteforce():
@@ -235,6 +232,8 @@ def test_recover_a_over_k_examples():
     assert recover_a_over_k(Fraction(22, 7), 5) == Fraction(7, 3)
     assert recover_a_over_k(Fraction(5, 3), 2) == Fraction(3, 1)
     assert recover_a_over_k(Fraction(1 + 4), 4) == 1
+    with pytest.raises(ValueError):
+        recover_a_over_k(1, 2)  # a supremum of 1 means k d = 0
 
 
 def test_maximal_coprime_tuple_main_example():
@@ -314,6 +313,9 @@ def test_phi_embed_incompatible():
     with pytest.raises(IncompatibleParams):
         phi_embed(ArithmeticalParams(7, 3, 3), ArithmeticalParams(14, 3, 3),
                   ElasticityTuple(0, 0, 0))  # a scales, k does not
+    with pytest.raises(IncompatibleParams):
+        phi_embed(ArithmeticalParams(7, 3, 3), ArithmeticalParams(16, 3, 6),
+                  ElasticityTuple(0, 0, 0))  # 7 does not divide 16
 
 
 def test_equality_predicate_examples():

@@ -55,6 +55,8 @@ def test_stats_invalid_generators(capsys):
     code, _, err = run(capsys, "stats", "4,6")
     assert code == 2
     assert "error" in err
+    code, out, err = run(capsys, "stats", "3,x")
+    assert code == 2 and out == "" and "cannot parse" in err
 
 
 def test_stats_outputs_are_integral_and_reduced(capsys):
@@ -165,6 +167,20 @@ def test_compare_sup_mismatch(capsys):
 def test_compare_invalid(capsys):
     code, _, err = run(capsys, "compare", "4,6", "3,5")
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, "compare", "1", "3,5")  # <1> has no tails
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("gens1, gens2, lines", [
+    ("5,7,9,11", "5,8,9,11", ["NOT_EQUAL witness=7/5"]),  # not arithmetical
+    ("4,5,6", "8,9,11,12", ["UNKNOWN bound=50"]),
+    # both sides have sup 5/3, so the witness comes from the smallest values
+    ("3,5", "6,7,8,9,10", ["NOT_EQUAL witness=6/5", "arithmetical: NOT_EQUAL"]),
+])
+def test_compare_output_lines(capsys, gens1, gens2, lines):
+    code, out, _ = run(capsys, "compare", gens1, gens2)
+    assert code == 0
+    assert out.splitlines() == lines
 
 
 def test_profile_subcommand(capsys):
@@ -330,7 +346,7 @@ def _reference_output(gens, lo, hi, output):
 
 
 @pytest.mark.parametrize("gens", [(1,), (3, 5), (6, 10, 13, 14), (7, 12, 17, 22)])
-@pytest.mark.parametrize("span", ["default", "negative", "empty", "past_window", "long"])
+@pytest.mark.parametrize("span", ["default", "negative", "empty", "past_window", "long", "single"])
 def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
     default_hi = 100 if len(gens) == 1 else gens[-2] * gens[-1] + 10 * gens[0] * gens[-1]
     lo, hi = {
@@ -339,6 +355,7 @@ def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
         "empty": (5, 4),
         "past_window": (2000, 2100),  # past (g_k - 1) g_{k-1} for every monoid here
         "long": (0, WRITE_CHUNK + 100),  # rows across a chunk boundary
+        "single": (0, 0),  # one point: both axes widen around it
     }[span]
     bounds = [] if span == "default" else ["--from", str(lo), "--to", str(hi)]
     text = ",".join(map(str, gens))

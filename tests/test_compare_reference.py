@@ -166,6 +166,9 @@ def test_verdicts_match_reference_on_fixtures():
         ((7, 12, 17, 22), (7, 12, 17, 22)),
         ((4, 5, 6), (6, 7, 8, 9)),
         ((6, 7, 8), (9, 10, 11, 12)),
+        # an alignment valid from t0 = 1: unknown at t_max 0, where the
+        # alignment skips it, and equal from t_max 3 on
+        ((4, 5, 7), (4, 6, 7)),
     ]
     outcomes = set()
     for gens1, gens2 in fixtures:

@@ -211,6 +211,8 @@ def test_subcollection_zero_modulus():
     assert find_proper_subcollection(0, [2, -2, 5]) == {3}
     with pytest.raises(NoSubcollection):
         find_proper_subcollection(0, [1, 1, 1])
+    with pytest.raises(ValueError):
+        find_proper_subcollection(-1, [1])
 
 
 def test_subcollection_random_contract():

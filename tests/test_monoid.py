@@ -12,6 +12,7 @@ from numelast import (
     EmptyInput,
     GeneratorTooLarge,
     NonCoprime,
+    NumericalMonoid,
     TableTooLarge,
     ZeroGenerator,
     contains,
@@ -29,6 +30,8 @@ import oracles
 
 def test_new_monoid_sorts_and_dedupes():
     assert new_monoid([5, 3, 7, 3]).generators == (3, 5, 7)
+    with pytest.raises(ValueError):
+        NumericalMonoid((5, 3))  # the constructor itself does not sort
 
 
 def test_new_monoid_drops_redundant_generator():
@@ -38,6 +41,8 @@ def test_new_monoid_drops_redundant_generator():
 def test_new_monoid_rejects_common_factor():
     with pytest.raises(NonCoprime):
         new_monoid([4, 6])
+    with pytest.raises(NonCoprime):  # the gcd is checked before the cap
+        new_monoid([2, 4 * MAX_GENERATOR + 2])
 
 
 def test_new_monoid_rejects_empty_and_zero():
@@ -148,6 +153,8 @@ def test_detect_arithmetical_examples():
     assert detect_arithmetical(new_monoid([20, 21, 45])) is None
     assert detect_arithmetical(new_monoid([3, 5])) == ArithmeticalParams(3, 2, 1)
     assert detect_arithmetical(new_monoid([1])) is None
+    # a progression with k >= a is not minimal, so new_monoid never returns it
+    assert detect_arithmetical(NumericalMonoid((2, 3, 4))) is None
 
 
 def test_detect_arithmetical_roundtrip():
