@@ -5,6 +5,7 @@ from .arithmetical import (
     TupleComparison,
     arith_max_length,
     arith_min_length,
+    arithmetical_witness,
     compare_tuples,
     elasticity_sets_equal_arithmetical,
     enumerate_tuples,

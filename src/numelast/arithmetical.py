@@ -6,8 +6,9 @@ via the value map (c(a+kd) + x + sd) / (ca + x).  The triple's slice is
 ck + s and its row is x; raising the slice raises the value, raising the
 row lowers it.  This module enumerates the triples, evaluates and compares
 them, constructs witness elements, recovers d and a/k from the value set,
-builds the coprime maximal triple used to separate value sets, and decides
-equality of elasticity sets (equivalently, of length-set collections).
+builds the coprime maximal triple used to separate value sets, decides
+equality of elasticity sets (equivalently, of length-set collections), and
+names a value that separates two unequal sets.
 """
 
 from __future__ import annotations
@@ -291,6 +292,26 @@ def elasticity_sets_equal_arithmetical(
         and gcd(p1.a, p1.k) >= 2
         and gcd(p2.a, p2.k) >= 2
     )
+
+
+def arithmetical_witness(p1: ArithmeticalParams, p2: ArithmeticalParams) -> Fraction:
+    """A value in exactly one of two unequal elasticity sets: the larger
+    supremum, else the smaller of the first differing minimal values, else
+    the coprime maximal tuple's value of the side with gcd(a, k) >= 2."""
+    if elasticity_sets_equal_arithmetical(p1, p2):
+        raise ValueError(f"the elasticity sets of {p1} and {p2} are equal")
+    s1 = p1.step_bound()
+    s2 = p2.step_bound()
+    if s1 != s2:
+        return max(s1, s2)
+    trio1 = three_minimal_elasticities(p1)
+    trio2 = three_minimal_elasticities(p2)
+    for v1, v2 in zip(trio1[1:], trio2[1:]):
+        if v1 != v2:
+            return min(v1, v2)
+    # same d and a/k: exactly one side has gcd(a, k) >= 2 and carries extras
+    side = p1 if gcd(p1.a, p1.k) >= 2 else p2
+    return tuple_elasticity(side, maximal_coprime_tuple(side))
 
 
 def length_sets_equal_arithmetical(

@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator
+from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
 from .lengths import iter_lengths
-from .monoid import NumericalMonoid, frobenius
+from .monoid import TABLE_LIMIT, NumericalMonoid, frobenius
 
 
 @dataclass
@@ -277,7 +277,19 @@ def compare_built_profiles(
     the second's.  Reports equal only when every tail sequence of each side
     is affinely aligned into the other (a complete proof); otherwise unknown
     at the checked bound.
+
+    Raises IndexOutOfRange for a negative ``t_max``, and TableTooLarge when
+    the tail values to cross-check, (starts of both sides) * (t_max + 1),
+    exceed TABLE_LIMIT; both before any value is built.
     """
+    if t_max < 0:
+        raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
+    tail_values = (len(p1.starts) + len(p2.starts)) * (t_max + 1)
+    if tail_values > TABLE_LIMIT:
+        raise TableTooLarge(
+            f"cross-checking to step {t_max} needs {tail_values} tail values, "
+            f"above the limit {TABLE_LIMIT}"
+        )
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
     K = max(_max_denominator(p1, t_max), _max_denominator(p2, t_max)) ** 2 + 1

@@ -19,7 +19,11 @@ from numelast import (
     SOutOfRange,
     arith_max_length,
     arith_min_length,
+    arithmetical_witness,
+    build_profile,
+    compare_built_profiles,
     compare_tuples,
+    contains_elasticity,
     elasticity,
     elasticity_sets_equal_arithmetical,
     enumerate_tuples,
@@ -360,6 +364,39 @@ def test_equality_predicates_agree_on_grid():
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(500)]
     for p1, p2 in pairs:
         assert elasticity_sets_equal_arithmetical(p1, p2) == length_sets_equal_arithmetical(p1, p2)
+
+
+def test_theorem_agrees_with_profiles_on_small_progressions():
+    # the profile comparison is the reference: where it decides, the theorem
+    # agrees, and every witness lies in exactly one of the two sets
+    pool = [
+        ArithmeticalParams(a, d, k)
+        for a in range(2, 18) for d in range(1, 17) for k in range(1, a)
+        if gcd(a, d) == 1 and a + k * d <= 18
+    ]
+    same_limit = [
+        (p1, p2) for i, p1 in enumerate(pool) for p2 in pool[i:]
+        if p1.step_bound() == p2.step_bound()
+    ]
+    other_limits = [(p1, p2) for p1 in pool for p2 in pool if p1.step_bound() != p2.step_bound()]
+    pairs = same_limit + random.Random(11).sample(other_limits, 40)
+    profiles = {p: build_profile(p.monoid()) for p in pool}
+    decided = witnesses = 0
+    for p1, p2 in pairs:
+        prof1, prof2 = profiles[p1], profiles[p2]
+        equal = elasticity_sets_equal_arithmetical(p1, p2)
+        outcome = compare_built_profiles(prof1, prof2).outcome
+        if outcome != "unknown":
+            assert (outcome == "equal") == equal, (p1, p2)
+            decided += 1
+        if equal:
+            with pytest.raises(ValueError):  # no value separates equal sets
+                arithmetical_witness(p1, p2)
+        else:
+            w = arithmetical_witness(p1, p2)
+            assert contains_elasticity(prof1, w)[0] != contains_elasticity(prof2, w)[0], (p1, p2)
+            witnesses += 1
+    assert (len(same_limit), decided, witnesses) == (324, 308 + 40, 130 + 40)
 
 
 def test_tuple_value_bounds():

@@ -169,6 +169,8 @@ def test_compare_invalid(capsys):
     assert code == 2 and "error" in err
     code, out, err = run(capsys, "compare", "1", "3,5")  # <1> has no tails
     assert code == 2 and out == "" and "error" in err
+    code, out, err = run(capsys, "compare", "6,10,13,14", "6,11,13,14", "--tmax", "-1")
+    assert code == 2 and out == "" and "nonnegative" in err
 
 
 @pytest.mark.parametrize("gens1, gens2, lines", [
@@ -268,7 +270,8 @@ def test_verify_arith_fails_under_optimize_flag():
 def test_table_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "9973,10007")
     assert code == 2 and out == "" and "error" in err
-    code, out, err = run(capsys, "compare", "9973,10007", "3,5")
+    # not two progressions, so compare builds both profiles' tables
+    code, out, err = run(capsys, "compare", "9973,10007,10009", "3,5")
     assert code == 2 and out == "" and "error" in err
     # the streaming commands build their tables before the first write
     code, out, err = run(capsys, "plot", "9973,10007")
@@ -278,6 +281,21 @@ def test_table_budget_exits_2(tmp_path, capsys):
                          "--output", str(target))
     assert code == 2 and out == "" and "error" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("gens1, gens2, lines", [
+    ("9973,10007", "9973,10007", ["EQUAL", "arithmetical: EQUAL"]),
+    ("9973,10007", "3,5", ["NOT_EQUAL witness=5/3", "arithmetical: NOT_EQUAL"]),
+    # d = 1 and a/k = 3000 on both sides, gcd(a, k) >= 2 on both
+    ("6000,6001,6002", "9000,9001,9002,9003", ["EQUAL", "arithmetical: EQUAL"]),
+])
+def test_compare_progressions_build_no_table(capsys, gens1, gens2, lines):
+    # tables this size are over the budget; the theorem needs none
+    numelast.clear_caches()
+    code, out, _ = run(capsys, "compare", gens1, gens2)
+    assert code == 0
+    assert out.splitlines() == lines
+    assert numelast.window_tables.cache_info().currsize == 0
 
 
 def _reference_svg(points, *, title=""):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 from numelast import (
     IndexOutOfRange,
     SingleGenerator,
+    TableTooLarge,
     build_profile,
+    compare_built_profiles,
     compare_profiles,
     contains_elasticity,
     elasticity,
@@ -21,6 +24,8 @@ from numelast import (
     profile_to_json,
     sequence_value,
 )
+
+from numelast.monoid import TABLE_LIMIT
 
 import oracles
 from test_compare_reference import expand
@@ -239,6 +244,33 @@ def test_compare_profiles_reflexive_and_symmetric():
             a = compare_profiles(S1, S2, 20)
             b = compare_profiles(S2, S1, 20)
             assert a.outcome == b.outcome
+
+
+class _Untouched(Exception):
+    pass
+
+
+class _UntouchedValues(dict):
+    """A finite part that fails on first read: the comparison has started."""
+
+    def __iter__(self):
+        raise _Untouched
+
+
+def test_compare_rejects_tmax_out_of_range():
+    S = new_monoid([6, 10, 13, 14])
+    with pytest.raises(IndexOutOfRange):
+        compare_profiles(S, S, -5)
+    # the bound is checked before any value is read: at the budget the
+    # comparison starts, one step past it nothing is read
+    prof = build_profile(S)
+    poisoned = replace(prof, finite_part=_UntouchedValues(prof.finite_part))
+    t_max = TABLE_LIMIT // (2 * len(prof.starts)) - 1
+    with pytest.raises(_Untouched):
+        compare_built_profiles(poisoned, poisoned, t_max)
+    for too_large in (t_max + 1, 10**18):
+        with pytest.raises(TableTooLarge):
+            compare_built_profiles(poisoned, poisoned, too_large)
 
 
 def test_certificate_identity_spot_check():
