@@ -8,8 +8,8 @@ B0 + i.  The finite part maps each value attained below B0 + period to its
 smallest witness; with the sequences it describes the whole value set, and
 membership of any rational is decidable by solving each sequence for t.
 
-A profile keeps M0 and m0 in two integer columns indexed by class, and an
-index of the distinct starts (M0, m0), each mapped to its first class.
+A profile holds the finite part and an index of the distinct starts (M0, m0),
+each mapped to its first class; the monoid's length tables give any class's.
 Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so membership
 queries and alignments scan the starts and a certificate holds one entry per
@@ -19,32 +19,28 @@ start, naming the same sequence a scan of every class would.
 from __future__ import annotations
 
 import json
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import gcd
 
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
-from .lengths import iter_lengths
+from .lengths import iter_lengths, max_length, min_length
 from .monoid import TABLE_LIMIT, NumericalMonoid, frobenius
 
 
 @dataclass
 class ElasticityProfile:
-    """Finite part, tail columns and start index of one elasticity set.
+    """Finite part and tail start index of one elasticity set.
 
-    Class i's sequence starts at n0 = base + i with M0 = max0[i] and
-    m0 = min0[i]; it is flat at the limit when max0[i] g_1 = min0[i] g_k.
+    Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0) and
+    m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.
     """
 
     monoid: NumericalMonoid
     base: int
     period: int
     finite_part: dict[Fraction, int]  # value -> smallest witness >= 1, in increasing value
-    max0: array  # M(base + i) for class i
-    min0: array  # m(base + i) for class i
     starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
 
     @property
@@ -91,7 +87,7 @@ class ComparisonVerdict:
 
 
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
-    """Finite part, tail columns and tail starts of the monoid's elasticity set."""
+    """Finite part and tail starts of the monoid's elasticity set."""
     gens = S.generators
     if len(gens) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
@@ -103,13 +99,10 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     first: dict[tuple[int, int], int] = {}  # (M, m) -> smallest element with those lengths
     for n, big, small in iter_lengths(S, 1, base - 1):
         first.setdefault((big, small), n)
-    max0, min0, starts = array("i"), array("i"), {}
+    starts: dict[tuple[int, int], int] = {}
     for n, big, small in iter_lengths(S, base, base + period - 1):
         first.setdefault((big, small), n)
         starts.setdefault((big, small), n - base)
-        max0.append(big)
-        min0.append(small)
-    # max0 has period entries: rows yields every n past (g_k - 1) g_{k-1} < base
     reduced: dict[tuple[int, int], int] = {}  # reduced M/m -> smallest witness
     for (big, small), n in first.items():  # in increasing n
         g = gcd(big, small)
@@ -121,18 +114,18 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     return ElasticityProfile(
         S, base, period,
         {Fraction(num, den): n for (num, den), n in finite},
-        max0, min0, starts,
+        starts,
     )
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
     """Value of the ``index``-th tail sequence after ``t`` periods."""
-    if not 0 <= index < len(profile.max0):
+    if not 0 <= index < profile.period:
         raise IndexOutOfRange(f"no sequence {index}")
     if t < 0:
         raise IndexOutOfRange(f"step must be nonnegative, got {t}")
-    gens = profile.monoid.generators
-    return Fraction(profile.max0[index] + t * gens[-1], profile.min0[index] + t * gens[0])
+    S, n0 = profile.monoid, profile.base + index
+    return Fraction(max_length(S, n0) + t * S.gk, min_length(S, n0) + t * S.g1)
 
 
 def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None]:
@@ -260,6 +253,8 @@ def compare_profiles(
     S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = 50
 ) -> ComparisonVerdict:
     """Compare the elasticity sets of two monoids; see compare_built_profiles."""
+    if t_max < 0:
+        raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
     return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
 
 
@@ -306,6 +301,7 @@ def compare_built_profiles(
 
 def profile_to_dict(profile: ElasticityProfile) -> dict:
     """JSON-ready form: generators, base, period, finite part, sequences."""
+    end = profile.base + profile.period - 1
     return {
         "generators": list(profile.monoid.generators),
         "base": profile.base,
@@ -314,7 +310,7 @@ def profile_to_dict(profile: ElasticityProfile) -> dict:
             [value.numerator, value.denominator, witness]
             for value, witness in profile.finite_part.items()
         ],
-        "sequences": [list(row) for row in zip(count(profile.base), profile.max0, profile.min0)],
+        "sequences": [list(row) for row in iter_lengths(profile.monoid, profile.base, end)],
     }
 
 

@@ -255,7 +255,8 @@ def test_criterion_7_literal_absolute_tolerance():
 def test_criterion_7_worst_gap_documented():
     prof = build_profile(new_monoid([7, 41]))
     i = 567 - prof.base
-    assert (prof.max0[i], prof.min0[i]) == (81, 47)
+    n0 = prof.sequences[i]
+    assert (max_length(prof.monoid, n0), min_length(prof.monoid, n0)) == (81, 47)
     gap = prof.limit - sequence_value(prof, i, 1000)
     assert gap == Fraction(1360, 49329)
     assert gap > Fraction(1, 100)

@@ -27,6 +27,9 @@ from numelast import (
     compare_built_profiles,
     compare_profiles,
     contains_elasticity,
+    iter_lengths,
+    max_length,
+    min_length,
     new_monoid,
 )
 
@@ -35,11 +38,17 @@ import oracles
 T_MAX = 50
 
 
+def columns(profile):
+    """(M0, m0) of every residue class, in class order: M and m at base + i."""
+    end = profile.base + profile.period - 1
+    return [(big, small) for _, big, small in iter_lengths(profile.monoid, profile.base, end)]
+
+
 def _candidates(profile, t_max):
     g1, gk = profile.monoid.g1, profile.monoid.gk
     values = set(profile.finite_part)
     # sequences that start from the same (M0, m0) take the same values
-    for big, small in set(zip(profile.max0, profile.min0)):
+    for big, small in set(columns(profile)):
         values.update(Fraction(big + t * gk, small + t * g1) for t in range(t_max + 1))
     return sorted(values)
 
@@ -47,10 +56,10 @@ def _candidates(profile, t_max):
 def _align(src, dst, t_max):
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    targets = list(zip(dst.max0, dst.min0))
+    targets = columns(dst)
     constant = [j for j, (M1, m1) in enumerate(targets) if M1 * gp == m1 * Gp]
     out = []
-    for i, (M0, m0) in enumerate(zip(src.max0, src.min0)):
+    for i, (M0, m0) in enumerate(columns(src)):
         if M0 * g == m0 * G:
             if not constant:
                 return None
@@ -80,7 +89,7 @@ def _align(src, dst, t_max):
 def _first_indices(profile):
     """(M0, m0) -> index of the first sequence with that start, in index order."""
     firsts = {}
-    for i, start in enumerate(zip(profile.max0, profile.min0)):
+    for i, start in enumerate(columns(profile)):
         firsts.setdefault(start, i)
     return firsts
 
@@ -88,7 +97,7 @@ def _first_indices(profile):
 def expand(profile, side):
     """One certificate side per residue class: residue i takes the alignment
     of its start, with source i."""
-    starts = list(zip(profile.max0, profile.min0))
+    starts = columns(profile)
     by_start = {starts[a.source]: a for a in side}
     assert len(by_start) == len(side)
     return tuple(replace(by_start[start], source=i) for i, start in enumerate(starts))
@@ -224,12 +233,13 @@ def _oracle_contains(gens, q):
 
 
 def _check_alignment(a, src, dst, t_max):
-    """Re-verify one certificate entry from the profile columns and the
+    """Re-verify one certificate entry from the class starts and the
     oracle: from step t0 on, source step t equals target step alpha t + beta,
     and every source value before t0 lies in the target's set."""
     G, g, Gp, gp = src.monoid.gk, src.monoid.g1, dst.monoid.gk, dst.monoid.g1
-    M0, m0 = src.max0[a.source], src.min0[a.source]
-    M1, m1 = dst.max0[a.target], dst.min0[a.target]
+    n0, n1 = src.base + a.source, dst.base + a.target
+    M0, m0 = max_length(src.monoid, n0), min_length(src.monoid, n0)
+    M1, m1 = max_length(dst.monoid, n1), min_length(dst.monoid, n1)
     assert a.alpha >= 1 and a.t0 <= t_max
     assert a.alpha * a.t0 + a.beta >= 0  # so every matched target step is >= 0
     # both sides are polynomials of degree 2 in t: three points make an identity

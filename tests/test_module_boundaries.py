@@ -1,0 +1,70 @@
+"""No module of the package reads another module's private names.
+
+A name with one leading underscore is private to the module that defines
+it.  The check walks every module of src/numelast and rejects an import of
+such a name from the package (``from .x import _name``) and an attribute
+read ``x._name`` where ``x`` is bound to a module of the package (``from .
+import x``, ``import numelast.x``).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "numelast"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _in_package(node):
+    return node.level > 0 or (node.module or "").split(".")[0] == "numelast"
+
+
+def private_reads(source):
+    """(line, name) for each private name of another module that ``source`` reads."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _in_package(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "numelast"):  # binds a module of the package
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numelast":
+                    modules.add(alias.asname or "numelast")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    found = {path.name: private_reads(path.read_text()) for path in paths}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .monoid import _fill\n", [(1, "_fill")]),
+        ("from numelast.monoid import window_tables, _fill as fill\n", [(1, "_fill")]),
+        ("from . import monoid as mo\n\ndef f():\n    return mo._fill\n", [(4, "_fill")]),
+        ("import numelast.profile\nx = numelast.profile._first_miss\n", [(2, "_first_miss")]),
+        ("from . import monoid as mo\nfrom .monoid import window_tables\n"
+         "def f(t):\n    return mo.window_tables, t._private, __name__\n", []),
+    ],
+)
+def test_private_reads_detects_each_form(source, expected):
+    assert private_reads(source) == expected

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import numelast
 from numelast import (
     IndexOutOfRange,
     SingleGenerator,
@@ -25,7 +26,7 @@ from numelast import (
     sequence_value,
 )
 
-from numelast.monoid import TABLE_LIMIT
+from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
 
 import oracles
 from test_compare_reference import expand
@@ -37,7 +38,8 @@ def test_build_profile_shape():
     prof = build_profile(S35)
     assert prof.base == 15 and prof.period == 15
     i = 18 - prof.base
-    assert (prof.base + i, prof.max0[i], prof.min0[i]) == (18, 6, 4)
+    n0 = prof.sequences[i]
+    assert (n0, max_length(S35, n0), min_length(S35, n0)) == (18, 6, 4)
     assert sequence_value(prof, 3, 1) == Fraction(11, 7)
     assert elasticity(S35, 33) == Fraction(11, 7)
 
@@ -58,11 +60,12 @@ def test_sequences_cover_window_and_members():
     assert list(prof.sequences) == list(range(15, 30))
     S = new_monoid([7, 12, 17, 22])
     prof2 = build_profile(S)
-    assert len(prof2.sequences) == len(prof2.max0) == len(prof2.min0) == prof2.period
+    assert len(prof2.sequences) == prof2.period
     for i, n0 in enumerate(prof2.sequences):
         assert n0 == prof2.base + i
-        assert prof2.max0[i] == max_length(S, n0)
-        assert prof2.min0[i] == min_length(S, n0)
+        start = (max_length(S, n0), min_length(S, n0))
+        assert sequence_value(prof2, i, 0) == Fraction(*start)
+        assert prof2.starts[start] <= i
 
 
 def test_window_check_survives_optimize_flag():
@@ -99,12 +102,13 @@ def test_sequence_value_examples_and_errors():
 
 def test_sequences_increase_toward_limit():
     for gens in [(3, 5), (7, 12, 17, 22), (7, 41)]:
-        prof = build_profile(new_monoid(gens))
+        S = new_monoid(gens)
+        prof = build_profile(S)
         top = prof.limit
         g1, gk = gens[0], gens[-1]
-        for idx in range(prof.period):
+        for idx, n0 in enumerate(prof.sequences):
             prev = sequence_value(prof, idx, 0)
-            assert (prof.max0[idx] * g1 == prof.min0[idx] * gk) == (prev == top)
+            assert (max_length(S, n0) * g1 == min_length(S, n0) * gk) == (prev == top)
             for t in range(1, 40):
                 cur = sequence_value(prof, idx, t)
                 if prev < top:
@@ -117,13 +121,14 @@ def test_sequences_increase_toward_limit():
 def test_sequence_gap_bounded_by_reciprocal_steps():
     # |value(t) - g_k/g_1| <= g_k * M0 / t for every sequence
     for gens in [(3, 5), (7, 41), (7, 12, 17, 22)]:
-        prof = build_profile(new_monoid(gens))
+        S = new_monoid(gens)
+        prof = build_profile(S)
         top = prof.limit
         gk = gens[-1]
-        for idx in range(prof.period):
+        for idx, n0 in enumerate(prof.sequences):
             for t in (1, 7, 100, 1000):
                 gap = top - sequence_value(prof, idx, t)
-                assert 0 <= gap <= Fraction(gk * prof.max0[idx], t)
+                assert 0 <= gap <= Fraction(gk * max_length(S, n0), t)
 
 
 def test_values_below_any_margin_are_finitely_many():
@@ -132,8 +137,8 @@ def test_values_below_any_margin_are_finitely_many():
     prof = build_profile(S35)
     top = prof.limit
     margin = Fraction(1, 10)
-    for idx in range(prof.period):
-        if prof.max0[idx] * 3 == prof.min0[idx] * 5:  # flat at the limit 5/3
+    for idx, n0 in enumerate(prof.sequences):
+        if max_length(S35, n0) * 3 == min_length(S35, n0) * 5:  # flat at the limit 5/3
             continue
         crossed = False
         for t in range(200):
@@ -257,10 +262,17 @@ class _UntouchedValues(dict):
         raise _Untouched
 
 
-def test_compare_rejects_tmax_out_of_range():
+def test_compare_rejects_tmax_out_of_range(monkeypatch):
     S = new_monoid([6, 10, 13, 14])
-    with pytest.raises(IndexOutOfRange):
-        compare_profiles(S, S, -5)
+
+    def no_build(monoid):
+        raise AssertionError("a negative bound must be refused before any profile is built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("numelast.profile.build_profile", no_build)
+        for negative in (-1, -5):
+            with pytest.raises(IndexOutOfRange):
+                compare_profiles(S, S, negative)
     # the bound is checked before any value is read: at the budget the
     # comparison starts, one step past it nothing is read
     prof = build_profile(S)
@@ -293,6 +305,35 @@ def test_profile_json_golden():
         '"finite_part":[[1,1,2],[5,4,10],[4,3,8],[3,2,6]],'
         '"sequences":[[6,3,2],[7,3,3],[8,4,3],[9,4,3],[10,5,4],[11,5,4]]}'
     )
+
+
+def test_profile_stored_at_its_true_size():
+    # one entry per distinct start and per finite value, none per residue class
+    prof = build_profile(new_monoid([101, 157, 203]))
+    assert (prof.period, len(prof.starts), len(prof.finite_part)) == (20503, 1085, 1749)
+    values = [getattr(prof, field.name) for field in fields(prof)]
+    assert prof.period not in [len(v) for v in values if hasattr(v, "__len__")]
+
+
+def test_profile_outputs_survive_table_eviction():
+    # class starts are read from the length tables, so the outputs must not
+    # depend on whether the monoid's tables are still cached
+    S = new_monoid([7, 12, 17, 22])
+    prof = build_profile(S)
+    sample = [(i, t) for i in range(0, prof.period, 5) for t in (0, 3, 50)]
+
+    def outputs():
+        return profile_to_json(prof), [sequence_value(prof, i, t) for i, t in sample]
+
+    expected = outputs()
+    numelast.clear_caches()
+    assert window_tables.cache_info().currsize == 0
+    assert outputs() == expected
+    built = window_tables(S.generators)
+    for i in range(TABLE_CACHE_SIZE):  # generators above 22: never S
+        window_tables((2, 41 + 2 * i))
+    assert outputs() == expected
+    assert window_tables(S.generators) is not built
 
 
 def test_profile_json_schema_round_trip():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numelast import build_profile, contains_elasticity, elasticity, new_monoid, sequence_value
 
 import oracles
+from test_compare_reference import columns
 
 raw_sets = st.lists(st.integers(1, 40), min_size=2, max_size=5).filter(lambda raw: gcd(*raw) == 1)
 bounded = settings(derandomize=True, max_examples=30, deadline=None)
@@ -30,7 +31,7 @@ def _full_scan(profile, q):
     g1, gk = profile.monoid.g1, profile.monoid.gk
     if q == profile.limit:
         return True, g1 * gk
-    for i, (big, small) in enumerate(zip(profile.max0, profile.min0)):
+    for i, (big, small) in enumerate(columns(profile)):
         # q (m0 + t g_1) = M0 + t g_k
         t, rem = divmod(
             q.denominator * big - q.numerator * small,
@@ -58,7 +59,7 @@ def test_membership_matches_full_scan_and_witnesses_round_trip(raw, data):
     assume(len(S.generators) >= 2)
     profile = build_profile(S)
     firsts = {}
-    for i, start in enumerate(zip(profile.max0, profile.min0)):
+    for i, start in enumerate(columns(profile)):
         firsts.setdefault(start, i)
     assert list(profile.starts.items()) == list(firsts.items())  # in order of first appearance
     # contains_elasticity solves the tails only below the limit: the finite
