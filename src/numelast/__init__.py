@@ -68,7 +68,6 @@ from .profile import (
     compare_built_profiles,
     compare_profiles,
     contains_elasticity,
-    profile_to_dict,
     profile_to_json,
     sequence_value,
 )

@@ -199,19 +199,6 @@ def recover_a_over_k(sup, d: int) -> Fraction:
     return Fraction(d) / (sup - 1)
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    # returns (p, q) with p*a + q*b == gcd(a, b)
-    old_r, r = a, b
-    old_p, p = 1, 0
-    old_q, q = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_p, p = p, old_p - quo * p
-        old_q, q = q, old_q - quo * q
-    return old_p, old_q
-
-
 def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
     """A maximal tuple whose transformed coordinates are coprime.
 
@@ -227,11 +214,11 @@ def maximal_coprime_tuple(params: ArithmeticalParams) -> ElasticityTuple:
     if g < 2:
         raise NotApplicable(f"gcd(a={a}, k={k}) must be at least 2")
     ap, kp = a // g, k // g
-    s = (pow(ap, -1, kp) - 2) % kp  # pow(ap, -1, 1) is 0, so s = 0 for k' = 1
+    p = pow(ap, -1, kp)  # pow(ap, -1, 1) is 0, so p = 0 and s = 0 for k' = 1
+    q = (1 - p * ap) // kp  # exact: p a' + q k' = 1
+    s = (p - 2) % kp
     # (s + 2) a' = 1 mod k' by the choice of s (for k' = 1 any integer is)
     x = ((s + 2) * ap - 1) // kp + d
-    p, q = _bezout(ap, kp)
-    # p a' + q k' = gcd(a', k') = 1
     target = p * x + q * s
     slope = s * ap - x * kp  # negative: xk' exceeds sa'
     # the smallest-magnitude b with b slope > target, that is b < target/slope

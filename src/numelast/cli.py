@@ -32,7 +32,7 @@ from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
 from .lengths import iter_lengths
 from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
-from .profile import build_profile, compare_profiles, profile_to_json
+from .profile import T_MAX, build_profile, compare_profiles, profile_to_json
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
 
@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="decide equality of two elasticity sets")
     p.add_argument("gens1")
     p.add_argument("gens2")
-    p.add_argument("--tmax", type=int, default=50, help="tail steps cross-checked; "
+    p.add_argument("--tmax", type=int, default=T_MAX, help="tail steps cross-checked; "
                    "only a pair that is not two arithmetic progressions has any")
     p.set_defaults(func=cmd_compare)
 

@@ -13,6 +13,7 @@ constructor validates a generating set; new_monoid caps and normalizes it.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class NumericalMonoid:
     generators: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(int(g) for g in self.generators)
+        gens = tuple(map(operator.index, self.generators))  # TypeError for 2.7 or "3"
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise EmptyInput("need at least one generator")
@@ -73,7 +74,7 @@ class NumericalMonoid:
         return self.generators[-1]
 
     def __contains__(self, n) -> bool:
-        return isinstance(n, int) and contains(self, n)
+        return contains(self, n)
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
@@ -120,9 +121,9 @@ def new_monoid(raw) -> NumericalMonoid:
     Sorts, deduplicates, and drops generators representable over the smaller
     ones, so the result carries the minimal generating set: g is kept iff its
     only factorization over the raw set is g itself, that is iff M(g) = 1.
-    Raises EmptyInput, ZeroGenerator or NonCoprime, then GeneratorTooLarge.
+    Raises TypeError, EmptyInput, ZeroGenerator or NonCoprime, then GeneratorTooLarge.
     """
-    gens = NumericalMonoid(tuple(sorted({int(g) for g in raw}))).generators
+    gens = NumericalMonoid(tuple(sorted(set(raw)))).generators
     if gens[-1] > MAX_GENERATOR:
         raise GeneratorTooLarge(
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
@@ -231,9 +232,9 @@ def window_tables(generators: tuple[int, ...]) -> WindowTables:
     return WindowTables(generators)
 
 
-def contains(S: NumericalMonoid, n: int) -> bool:
-    """True iff ``n`` is a nonnegative integer combination of the generators."""
-    if n < 0:
+def contains(S: NumericalMonoid, n) -> bool:
+    """True iff ``n`` is an int and a nonnegative combination of the generators."""
+    if not isinstance(n, int) or n < 0:
         return False
     t = window_tables(S.generators)
     return n > t.frobenius or t.min_length(n) >= 0

@@ -18,7 +18,6 @@ start, naming the same sequence a scan of every class would.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,9 @@ from math import gcd
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
 from .lengths import iter_lengths, max_length, min_length
 from .monoid import TABLE_LIMIT, NumericalMonoid, frobenius
+
+#: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
+T_MAX = 50
 
 
 @dataclass
@@ -250,7 +252,7 @@ def _align_sequences(
 
 
 def compare_profiles(
-    S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = 50
+    S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = T_MAX
 ) -> ComparisonVerdict:
     """Compare the elasticity sets of two monoids; see compare_built_profiles."""
     if t_max < 0:
@@ -259,7 +261,7 @@ def compare_profiles(
 
 
 def compare_built_profiles(
-    p1: ElasticityProfile, p2: ElasticityProfile, t_max: int = 50
+    p1: ElasticityProfile, p2: ElasticityProfile, t_max: int = T_MAX
 ) -> ComparisonVerdict:
     """Compare the elasticity sets of two built profiles.
 
@@ -299,20 +301,13 @@ def compare_built_profiles(
     return ComparisonVerdict("unknown", None, t_max, None)
 
 
-def profile_to_dict(profile: ElasticityProfile) -> dict:
-    """JSON-ready form: generators, base, period, finite part, sequences."""
-    end = profile.base + profile.period - 1
-    return {
-        "generators": list(profile.monoid.generators),
-        "base": profile.base,
-        "period": profile.period,
-        "finite_part": [
-            [value.numerator, value.denominator, witness]
-            for value, witness in profile.finite_part.items()
-        ],
-        "sequences": [list(row) for row in iter_lengths(profile.monoid, profile.base, end)],
-    }
-
-
 def profile_to_json(profile: ElasticityProfile) -> str:
-    return json.dumps(profile_to_dict(profile), separators=(",", ":"))
+    """Compact JSON: generators, base, period, the finite part as [num,den,witness]
+    in increasing value, and one [n,M,m] row per class, from the length tables."""
+    S, base, end = profile.monoid, profile.base, profile.base + profile.period - 1
+    row = "[%d,%d,%d]"
+    finite = ",".join(row % (*v.as_integer_ratio(), w) for v, w in profile.finite_part.items())
+    rows = ",".join(row % r for r in iter_lengths(S, base, end))
+    return '{"generators":[%s],"base":%d,"period":%d,"finite_part":[%s],"sequences":[%s]}' % (
+        ",".join(map(str, S.generators)), base, profile.period, finite, rows
+    )

@@ -52,6 +52,14 @@ def test_new_monoid_rejects_empty_and_zero():
         new_monoid([0, 3])
 
 
+def test_non_integer_generators_raise():
+    # never truncated to 2; the constructor checks, new_monoid leaves it to it
+    with pytest.raises(TypeError):
+        new_monoid([2.7, 5])
+    with pytest.raises(TypeError):
+        NumericalMonoid((2.9, 5))
+
+
 def test_new_monoid_generator_cap():
     with pytest.raises(GeneratorTooLarge):
         new_monoid([3, 10**6 + 1])
@@ -115,6 +123,11 @@ def test_contains_examples():
     assert not contains(S, 4)
     assert contains(S, 10)
     assert not contains(S, -1)
+    # non-integers are never members, past the Frobenius number or below it
+    S = new_monoid([3, 5])
+    for q in (8.5, 4.5, Fraction(17, 2)):
+        assert not contains(S, q)
+        assert q not in S
 
 
 def test_contains_matches_enumeration():

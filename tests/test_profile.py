@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,10 @@ from numelast import (
     compare_profiles,
     contains_elasticity,
     elasticity,
+    iter_lengths,
     max_length,
     min_length,
     new_monoid,
-    profile_to_dict,
     profile_to_json,
     sequence_value,
 )
@@ -305,6 +307,13 @@ def test_profile_json_golden():
         '"finite_part":[[1,1,2],[5,4,10],[4,3,8],[3,2,6]],'
         '"sequences":[[6,3,2],[7,3,3],[8,4,3],[9,4,3],[10,5,4],[11,5,4]]}'
     )
+    # the two profile rungs of the benchmark's cli-stats ladder
+    for gens, digest in [
+        ((31, 57, 73, 101), "ad380e4ac8227ec27c4382033a046e522444a8924cc9e6c7415d33df925e52bc"),
+        ((101, 157, 203), "335f1038ce5566a455001fd875c52208458b578eaf3b94f27986f1211085305e"),
+    ]:
+        text = profile_to_json(build_profile(new_monoid(gens)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, gens
 
 
 def test_profile_stored_at_its_true_size():
@@ -337,14 +346,21 @@ def test_profile_outputs_survive_table_eviction():
 
 
 def test_profile_json_schema_round_trip():
-    prof = build_profile(S35)
-    doc = json.loads(profile_to_json(prof))
-    assert list(doc) == ["generators", "base", "period", "finite_part", "sequences"]
-    assert doc == profile_to_dict(prof)
-    assert doc["generators"] == [3, 5]
-    assert all(len(row) == 3 for row in doc["finite_part"])
-    assert all(len(row) == 3 for row in doc["sequences"])
-    # rationals stored reduced
-    from math import gcd
-
-    assert all(gcd(num, den) == 1 for num, den, _ in doc["finite_part"])
+    # the reference: json.dumps of the document built from the profile's
+    # finite part and the length tables, one [n, M, m] row per class
+    for gens in [(2, 3), (3, 5), (7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203)]:
+        prof = build_profile(new_monoid(gens))
+        end = prof.base + prof.period - 1
+        doc = {
+            "generators": list(prof.monoid.generators),
+            "base": prof.base,
+            "period": prof.period,
+            "finite_part": [[v.numerator, v.denominator, w] for v, w in prof.finite_part.items()],
+            "sequences": [list(row) for row in iter_lengths(prof.monoid, prof.base, end)],
+        }
+        text = profile_to_json(prof)
+        assert text == json.dumps(doc, separators=(",", ":")), gens
+        assert json.loads(text) == doc
+        assert len(doc["sequences"]) == prof.period
+        # rationals stored reduced
+        assert all(gcd(num, den) == 1 for num, den, _ in doc["finite_part"])
