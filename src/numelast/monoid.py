@@ -121,9 +121,10 @@ def new_monoid(raw) -> NumericalMonoid:
     Sorts, deduplicates, and drops generators representable over the smaller
     ones, so the result carries the minimal generating set: g is kept iff its
     only factorization over the raw set is g itself, that is iff M(g) = 1.
-    Raises TypeError, EmptyInput, ZeroGenerator or NonCoprime, then GeneratorTooLarge.
+    Raises TypeError (for 3.0 too, before deduplication could drop it), EmptyInput,
+    ZeroGenerator or NonCoprime, then GeneratorTooLarge.
     """
-    gens = NumericalMonoid(tuple(sorted(set(raw)))).generators
+    gens = NumericalMonoid(tuple(sorted(set(map(operator.index, raw))))).generators
     if gens[-1] > MAX_GENERATOR:
         raise GeneratorTooLarge(
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"

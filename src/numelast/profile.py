@@ -12,13 +12,13 @@ A profile holds the finite part and an index of the distinct starts (M0, m0),
 each mapped to its first class; the monoid's length tables give any class's.
 Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so membership
-queries and alignments scan the starts and a certificate holds one entry per
-start, naming the same sequence a scan of every class would.
+queries scan the starts and a certificate holds one entry per start, naming
+the same sequence a scan of every class would.  An alignment reaches target
+starts only through their index by a_num (see _align_sequences).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -161,65 +161,35 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     return False, None
 
 
-def _bounded_values(profile: ElasticityProfile, t_max: int) -> Iterator[tuple[int, int]]:
-    """The finite part and every tail value up to step t_max, as (num, den) pairs.
-
-    Each distinct tail start is walked once.  Tail pairs are not reduced;
-    callers compare them through exact keys.
-    """
-    for value in profile.finite_part:
-        yield value.numerator, value.denominator
-    g1, gk = profile.monoid.g1, profile.monoid.gk
-    for big, small in profile.starts:
-        for t in range(t_max + 1):
-            yield big + t * gk, small + t * g1
-
-
 def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
-    """An upper bound on the denominators of _bounded_values."""
+    """An upper bound on the denominators of the finite part and of every tail
+    value up to step t_max, the values a comparison may cross-check."""
     finite = max(value.denominator for value in profile.finite_part)
     tail = max(small for _, small in profile.starts) + t_max * profile.monoid.g1
     return max(finite, tail)
 
 
-def _first_miss(
-    src: ElasticityProfile, dst: ElasticityProfile, K: int, t_max: int
-) -> Fraction | None:
-    """Smallest bounded value of ``src`` outside the elasticity set of ``dst``.
-
-    Each value v is keyed by floor(v * K), which is exact and order-preserving
-    when K exceeds the square of every denominator involved.  Every bounded
-    value of ``dst`` lies in its set, so only the values missing from that
-    bounded set need a membership check, in increasing order.
-    """
-    dst_keys = {num * K // den for num, den in _bounded_values(dst, t_max)}
-    missing = {
-        num * K // den: (num, den)
-        for num, den in _bounded_values(src, t_max)
-        if num * K // den not in dst_keys
-    }
-    for key in sorted(missing):
-        value = Fraction(*missing[key])
-        if not contains_elasticity(dst, value)[0]:
-            return value
-    return None
-
-
 def _align_sequences(
     src: ElasticityProfile, dst: ElasticityProfile, t_max: int
-) -> list[SequenceAlignment] | None:
-    """Affine alignment of every source start into some target start.
+) -> list[SequenceAlignment | None]:
+    """Affine alignment of each source start into the first target start
+    that fits from some t0 <= t_max, or None, in ``starts`` order.
 
     A sequence's alignment depends only on its start (M0, m0), so each
-    distinct source start is solved once, against the distinct target
-    starts in order: that finds the first target sequence that fits.
+    distinct source start is solved once.  A fit needs alpha D = a_num with
+    alpha >= 1, so the walk reads the index of target starts by a_num at
+    D, 2D, ... and keeps the fit of smallest target index, as a scan would.
     """
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    targets = [(j, M1, m1) for (M1, m1), j in dst.starts.items() if M1 * gp != m1 * Gp]
+    by_slope: dict[int, list[tuple[int, int, int]]] = {}  # a_num -> targets, in starts order
+    for (M1, m1), j in dst.starts.items():
+        if M1 * gp != m1 * Gp:
+            by_slope.setdefault(M1 * g - G * m1, []).append((j, M1, m1))
+    lowest = min(by_slope)
     # always found: n = c g_1 g_k in the window has M(n) = n/g_1, m(n) = n/g_k
     constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
-    out = []
+    out: list[SequenceAlignment | None] = []
     for (M0, m0), i in src.starts.items():
         if M0 * g == m0 * G:  # the whole tail is flat at the limit
             out.append(SequenceAlignment(i, constant_target, 1, 0, 0))
@@ -230,25 +200,40 @@ def _align_sequences(
         # coefficients agree and the beta terms of the t^1 coefficients
         # cancel; what is left is alpha D = a_num (t^1) and beta D = b_num
         # (t^0), which the exact quotients below solve.  D != 0: D g =
-        # g' (M0 g - G m0), and the sequence is not constant.
+        # g' (M0 g - G m0), and the sequence is not constant.  D < 0 and
+        # every a_num < 0, both tails below the limit, so alpha >= 1.
         D = M0 * gp - Gp * m0
-        for j, M1, m1 in targets:
-            a_num = M1 * g - G * m1
-            if a_num % D:
-                continue
-            alpha = a_num // D  # >= 1: D < 0 and a_num < 0, both tails below the limit
-            b_num = M1 * m0 - M0 * m1
-            if b_num % D:
-                continue
-            beta = b_num // D
-            t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
-            if t0 > t_max:
-                continue  # head values would not have been cross-checked
-            out.append(SequenceAlignment(i, j, alpha, beta, t0))
-            break
-        else:
-            return None
+        best = None
+        for a_num in range(D, lowest - 1, D):
+            alpha = a_num // D
+            for j, M1, m1 in by_slope.get(a_num, ()):
+                if best is not None and j >= best.target:
+                    break
+                b_num = M1 * m0 - M0 * m1
+                if b_num % D:
+                    continue
+                beta = b_num // D
+                t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
+                if t0 <= t_max:  # head values are cross-checked only up to t_max
+                    best = SequenceAlignment(i, j, alpha, beta, t0)
+                    break
+        out.append(best)
     return out
+
+
+def _unaligned_values(
+    profile: ElasticityProfile, alignments: list[SequenceAlignment | None], K: int, t_max: int
+) -> dict[int, tuple[int, int]]:
+    """floor(v K) -> (num, den) for each value v up to step t_max that no
+    alignment places in the other set: the finite part, the heads t < t0 of
+    aligned starts and every step of unaligned ones (pairs not reduced)."""
+    left = {v.numerator * K // v.denominator: v.as_integer_ratio() for v in profile.finite_part}
+    g1, gk = profile.monoid.g1, profile.monoid.gk
+    for (big, small), a in zip(profile.starts, alignments):
+        for t in range(t_max + 1 if a is None else a.t0):
+            num, den = big + t * gk, small + t * g1
+            left[num * K // den] = num, den
+    return left
 
 
 def compare_profiles(
@@ -271,9 +256,12 @@ def compare_built_profiles(
     ``t_max``; the witness is the smallest value in the symmetric difference
     of the two bounded value sets that the other side's set lacks, taken
     from the first profile's bounded values when one qualifies, else from
-    the second's.  Reports equal only when every tail sequence of each side
-    is affinely aligned into the other (a complete proof); otherwise unknown
-    at the checked bound.
+    the second's.  Each start is aligned first.  Aligned values from step
+    t0 on lie in the other set, and the other side's kept values in its
+    own, so cross-checking only the values the alignments leave yields the
+    same witness.  Reports equal only when every tail sequence of each side
+    is affinely aligned into the other (a complete proof); otherwise
+    unknown at the checked bound.
 
     Raises IndexOutOfRange for a negative ``t_max``, and TableTooLarge when
     the tail values to cross-check, (starts of both sides) * (t_max + 1),
@@ -290,13 +278,16 @@ def compare_built_profiles(
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
     K = max(_max_denominator(p1, t_max), _max_denominator(p2, t_max)) ** 2 + 1
-    for src, dst in ((p1, p2), (p2, p1)):
-        witness = _first_miss(src, dst, K, t_max)
-        if witness is not None:
-            return ComparisonVerdict("not_equal", witness, t_max, None)
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
-    if forward is not None and backward is not None:
+    left1 = _unaligned_values(p1, forward, K, t_max)
+    left2 = _unaligned_values(p2, backward, K, t_max)
+    for left, other, dst in ((left1, left2, p2), (left2, left1, p1)):
+        for key in sorted(left.keys() - other.keys()):
+            value = Fraction(*left[key])
+            if not contains_elasticity(dst, value)[0]:
+                return ComparisonVerdict("not_equal", value, t_max, None)
+    if None not in forward and None not in backward:
         return ComparisonVerdict("equal", None, t_max, (tuple(forward), tuple(backward)))
     return ComparisonVerdict("unknown", None, t_max, None)
 

@@ -1,10 +1,15 @@
-"""No module of the package reads another module's private names.
+"""No module of the package reads another module's private names, and no
+module imports a name it never reads.
 
 A name with one leading underscore is private to the module that defines
 it.  The check walks every module of src/numelast and rejects an import of
 such a name from the package (``from .x import _name``) and an attribute
 read ``x._name`` where ``x`` is bound to a module of the package (``from .
 import x``, ``import numelast.x``).
+
+Every name a module imports must be read in it.  ``__init__.py`` is exempt,
+since its imports are the public re-exports, and so is ``from __future__
+import annotations``.
 """
 
 import ast
@@ -68,3 +73,40 @@ def test_no_module_reads_another_modules_private_names():
 )
 def test_private_reads_detects_each_form(source, expected):
     assert private_reads(source) == expected
+
+
+def unused_imports(source):
+    """(line, name) for each name that ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+def test_no_module_has_an_unused_import():
+    paths = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert len(paths) > 5
+    found = {path.name: unused_imports(path.read_text()) for path in paths}
+    assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import os\n", [(1, "os")]),
+        ("from .monoid import contains, frobenius\nx = contains\n", [(1, "frobenius")]),
+        ("import numelast.profile\nnumelast = 1\n", [(1, "numelast")]),  # a store is no read
+        ("from collections.abc import Iterator as It\ndef f() -> It[int]:\n    pass\n", []),
+        ("from __future__ import annotations\nimport os.path\nx = os.path.sep\n", []),
+    ],
+)
+def test_unused_imports_detects_each_form(source, expected):
+    assert unused_imports(source) == expected

@@ -53,11 +53,15 @@ def test_new_monoid_rejects_empty_and_zero():
 
 
 def test_non_integer_generators_raise():
-    # never truncated to 2; the constructor checks, new_monoid leaves it to it
+    # never truncated to 2; new_monoid checks before deduplicating, the constructor too
     with pytest.raises(TypeError):
         new_monoid([2.7, 5])
     with pytest.raises(TypeError):
         NumericalMonoid((2.9, 5))
+    # a float equal to a generator is refused wherever it stands
+    for raw in ([3, 3.0, 5], [3.0, 3, 5]):
+        with pytest.raises(TypeError):
+            new_monoid(raw)
 
 
 def test_new_monoid_generator_cap():
