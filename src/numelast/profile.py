@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
+from .errors import IndexOutOfRange, SingleGenerator, TableTooLarge
 from .lengths import iter_lengths, max_length, min_length
-from .monoid import TABLE_LIMIT, NumericalMonoid, frobenius
+from .monoid import TABLE_LIMIT, NumericalMonoid
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
@@ -88,36 +87,38 @@ class ComparisonVerdict:
     certificate: tuple[tuple[SequenceAlignment, ...], tuple[SequenceAlignment, ...]] | None
 
 
+def _key_scale(S: NumericalMonoid, t_max: int) -> int:
+    """K such that floor(v K) keys the finite part and the tail values up to
+    step ``t_max`` exactly and in order.  Every factor is at least g_1, so
+    m(n) <= M(n) <= n/g_1.  Finite values come from n < base + period =
+    (g_{k-1} + g_1) g_k, and a tail value at step t has the denominator
+    m0 + t g_1 with m0 = m(n0) for some n0 in that range; so no denominator
+    exceeds D below.  Distinct values with denominators <= D differ by at
+    least 1/D^2 > 1/K, so their keys differ, in the same order."""
+    D = (S.generators[-2] + S.g1) * S.gk // S.g1 + t_max * S.g1
+    return D * D + 1
+
+
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
-    """Finite part and tail starts of the monoid's elasticity set."""
-    gens = S.generators
-    if len(gens) == 1:
+    """Finite part and tail starts of the monoid's elasticity set.  The rows
+    come in increasing n, so the first row of a value is its smallest witness."""
+    if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
-    g1, gk, gk1 = gens[0], gens[-1], gens[-2]
-    base = gk1 * gk
-    period = g1 * gk
-    if frobenius(S) >= base:
-        raise InternalInconsistency(f"the window of {S} does not lie above the Frobenius number")
-    first: dict[tuple[int, int], int] = {}  # (M, m) -> smallest element with those lengths
+    base, period = S.generators[-2] * S.gk, S.g1 * S.gk
+    K = _key_scale(S, 0)
+    finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
     for n, big, small in iter_lengths(S, 1, base - 1):
-        first.setdefault((big, small), n)
+        key = big * K // small
+        if key not in finite:
+            finite[key] = big, small, n
     starts: dict[tuple[int, int], int] = {}
     for n, big, small in iter_lengths(S, base, base + period - 1):
-        first.setdefault((big, small), n)
+        key = big * K // small
+        if key not in finite:
+            finite[key] = big, small, n
         starts.setdefault((big, small), n - base)
-    reduced: dict[tuple[int, int], int] = {}  # reduced M/m -> smallest witness
-    for (big, small), n in first.items():  # in increasing n
-        g = gcd(big, small)
-        reduced.setdefault((big // g, small // g), n)
-    # distinct values with denominators <= D differ by at least 1/D^2, so
-    # floor(value * K) with K > D^2 orders them exactly
-    K = max(den for _, den in reduced) ** 2 + 1
-    finite = sorted(reduced.items(), key=lambda item: item[0][0] * K // item[0][1])
-    return ElasticityProfile(
-        S, base, period,
-        {Fraction(num, den): n for (num, den), n in finite},
-        starts,
-    )
+    finite_part = {Fraction(big, small): n for _, (big, small, n) in sorted(finite.items())}
+    return ElasticityProfile(S, base, period, finite_part, starts)
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
@@ -159,14 +160,6 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
         if t >= 0:
             return True, profile.base + i + t * profile.period
     return False, None
-
-
-def _max_denominator(profile: ElasticityProfile, t_max: int) -> int:
-    """An upper bound on the denominators of the finite part and of every tail
-    value up to step t_max, the values a comparison may cross-check."""
-    finite = max(value.denominator for value in profile.finite_part)
-    tail = max(small for _, small in profile.starts) + t_max * profile.monoid.g1
-    return max(finite, tail)
 
 
 def _align_sequences(
@@ -224,9 +217,10 @@ def _align_sequences(
 def _unaligned_values(
     profile: ElasticityProfile, alignments: list[SequenceAlignment | None], K: int, t_max: int
 ) -> dict[int, tuple[int, int]]:
-    """floor(v K) -> (num, den) for each value v up to step t_max that no
-    alignment places in the other set: the finite part, the heads t < t0 of
-    aligned starts and every step of unaligned ones (pairs not reduced)."""
+    """floor(v K) -> (num, den), not reduced, for each value v up to step t_max
+    that no alignment places in the other set: the finite part, the heads
+    t < t0 of aligned starts and every step of unaligned ones.  K is at least
+    the monoid's _key_scale at t_max, so each key is exact."""
     left = {v.numerator * K // v.denominator: v.as_integer_ratio() for v in profile.finite_part}
     g1, gk = profile.monoid.g1, profile.monoid.gk
     for (big, small), a in zip(profile.starts, alignments):
@@ -259,7 +253,8 @@ def compare_built_profiles(
     the second's.  Each start is aligned first.  Aligned values from step
     t0 on lie in the other set, and the other side's kept values in its
     own, so cross-checking only the values the alignments leave yields the
-    same witness.  Reports equal only when every tail sequence of each side
+    same witness.  Values are keyed by floor(v K), K the larger _key_scale
+    of the two monoids at ``t_max``.  Reports equal only when every tail sequence of each side
     is affinely aligned into the other (a complete proof); otherwise
     unknown at the checked bound.
 
@@ -277,7 +272,7 @@ def compare_built_profiles(
         )
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
-    K = max(_max_denominator(p1, t_max), _max_denominator(p2, t_max)) ** 2 + 1
+    K = max(_key_scale(p1.monoid, t_max), _key_scale(p2.monoid, t_max))
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
     left1 = _unaligned_values(p1, forward, K, t_max)

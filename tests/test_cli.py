@@ -194,11 +194,17 @@ def test_profile_subcommand(capsys):
 
 
 def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
-    # a broken window invariant is a library fault (exit 1), not bad input (2)
-    profile_module = sys.modules["numelast.profile"]
-    monkeypatch.setattr(profile_module, "frobenius", lambda S: S.generators[-2] * S.gk)
+    # a broken window invariant is a library fault (exit 1), not bad input
+    # (2): a fill that reports a gap at the window's last entry fails the
+    # window check of WindowTables
+    fill = numelast.monoid._fill
+    monkeypatch.setattr(
+        numelast.monoid, "_fill", lambda gens, limit: (*fill(gens, limit)[:2], limit)
+    )
+    numelast.monoid.window_tables.cache_clear()
     code, out, err = run(capsys, "profile", "3,5")
     assert code == 1 and out == "" and "error" in err
+    assert "membership gap inside the window" in err
     code, _, _ = run(capsys, "profile", "1")
     assert code == 2  # <1> has no tails: still an input error
 

@@ -10,6 +10,9 @@ import x``, ``import numelast.x``).
 Every name a module imports must be read in it.  ``__init__.py`` is exempt,
 since its imports are the public re-exports, and so is ``from __future__
 import annotations``.
+
+No module has an ``assert`` statement: python -O strips them, and contract
+checks must still run there, so they raise typed errors instead.
 """
 
 import ast
@@ -110,3 +113,30 @@ def test_no_module_has_an_unused_import():
 )
 def test_unused_imports_detects_each_form(source, expected):
     assert unused_imports(source) == expected
+
+
+def assert_lines(source):
+    """Line of each assert statement in ``source``."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_module_has_an_assert_statement():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    found = {path.name: assert_lines(path.read_text()) for path in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("assert x\n", [1]),
+        ("def f(x):\n    if x:\n        assert x > 0, 'positive'\n", [3]),
+        ("class C:\n    def f(self):\n        assert self\n\nassert C\n", [3, 5]),
+        ("x = 'assert y'\n# assert z\n", []),  # a string or a comment is no statement
+        ("def f(x):\n    if not x:\n        raise ValueError(x)\n", []),
+    ],
+)
+def test_assert_lines_detects_each_form(source, expected):
+    assert assert_lines(source) == expected

@@ -71,13 +71,15 @@ def test_sequences_cover_window_and_members():
 
 
 def test_window_check_survives_optimize_flag():
-    # under python -O a Frobenius number at the window base must still raise
-    # the typed error, not slip through a stripped assert
+    # under python -O a fill that reports a gap at the window's last entry
+    # must still raise the typed error, not slip through a stripped assert
     code = (
         "import sys\n"
         "from numelast import InternalInconsistency, build_profile, new_monoid\n"
-        "profile = sys.modules['numelast.profile']\n"
-        "profile.frobenius = lambda S: S.generators[-2] * S.gk\n"
+        "monoid = sys.modules['numelast.monoid']\n"
+        "fill = monoid._fill\n"
+        "monoid._fill = lambda gens, limit: (*fill(gens, limit)[:2], limit)\n"
+        "monoid.window_tables.cache_clear()\n"
         "try:\n"
         "    build_profile(new_monoid([3, 5]))\n"
         "except InternalInconsistency:\n"

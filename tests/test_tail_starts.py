@@ -69,6 +69,8 @@ def test_membership_matches_full_scan_and_witnesses_round_trip(raw, data):
     values = oracles.recurrence_elasticity_map(S.generators, profile.base + profile.period - 1)
     for n, value in values.items():  # in increasing n
         smallest.setdefault(value, n)
+    # every value, its order and its smallest witness
+    assert list(profile.finite_part.items()) == sorted(smallest.items())
     for q in _queries(data, profile):
         found, witness = contains_elasticity(profile, q)
         assert (found, witness) == _full_scan(profile, q)
