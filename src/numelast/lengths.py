@@ -1,9 +1,10 @@
 """Factorization enumeration and length statistics over a numerical monoid.
 
 Maximal and minimal factorization lengths M(n) and m(n) are read from the
-monoid's :class:`~numelast.monoid.WindowTables`: dynamic-programming tables
-built once per monoid over one window, up to (g_k - 1) g_{k-1}, past which
-both recurrences M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1 hold.
+monoid's :class:`~numelast.monoid.WindowTables`: tables filled once per
+monoid, from the points where each residue class's lengths change slope,
+over one window up to (g_k - 1) g_{k-1}, past which both recurrences
+M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1 hold.
 Elements beyond the window are answered in O(1) by stepping back into it;
 the tables never grow.
 """

@@ -5,7 +5,10 @@ integers, stored here by its minimal generating set g_1 < ... < g_k with
 gcd 1.  One :class:`WindowTables` object per monoid holds the maximal and
 minimal factorization lengths M(n) and m(n) over one window, up to where
 both of their recurrences have taken over, and the Frobenius number (the
-largest integer outside the monoid), all filled in one pass.  Membership,
+largest integer outside the monoid).  Each table is filled from its
+breakpoints, where the length stops rising by one per step within a
+residue class, found by one label-setting pass; the first breakpoints mod
+g_1 are the Apery set, which gives the Frobenius number.  Membership,
 the Frobenius number and every length query read that object, which is
 built once per generating set and kept in one bounded cache.  The
 constructor validates a generating set; new_monoid caps and normalizes it.
@@ -19,6 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import (
@@ -129,36 +133,74 @@ def new_monoid(raw) -> NumericalMonoid:
         raise GeneratorTooLarge(
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
         )
-    max_table, _, _ = _fill(gens, gens[-1])
+    g1, gk = gens[0], gens[-1]
+    # only M(g) = 1 matters, so only the longest lengths are filled
+    max_table, _ = _extreme_lengths(g1, gens[1:], gk, array("i", range(gk // g1 + 2)), -1)
     return NumericalMonoid(tuple(g for g in gens if max_table[g] == 1))
+
+
+def _extreme_lengths(mod: int, parts, limit: int, ramp: array, sign: int) -> tuple[array, int]:
+    """Longest (``sign`` -1) or shortest (+1) factorization lengths over
+    ``mod`` and the other generators ``parts``, for n = 0..limit (-1 where n
+    is no combination of them), and the largest first element of a class
+    mod ``mod``.  ``ramp[i]`` must be i up to the longest length.
+
+    Write n = c mod + s with s a sum of q parts.  That factorization has
+    length (n - w)/mod, with weight w = s - q mod = sum (g - mod) c_g, so
+    within a class mod ``mod`` the extreme length of n comes from the
+    extreme weight over the sums s <= n: the class's lengths are ramps,
+    rising by one per step of ``mod``, that restart where that weight
+    improves.  Those breakpoints are found by label setting: sums pop from
+    a heap in increasing s, the best q first, and a sum that does not
+    improve its class starts no ramp and is not extended, since every
+    extension of it is beaten by the same extension of the sum that beat
+    it.  Each ramp is written once, by one slice copy, when the next
+    breakpoint of its class or the end is known.
+    """
+    table = array("i", [-1]) * (limit + 1)
+    # each class's last breakpoint s so far; table[s] holds its length
+    # until the ramp from s is written
+    start = array("i", [-1]) * mod
+    first = -1
+    heap = [(0, 0)]  # (s, sign * q)
+    while heap:
+        s, key = heappop(heap)
+        prev = start[s % mod]
+        if prev >= 0:
+            q, steps = table[prev], (s - prev) // mod
+            if key >= sign * (q + steps):
+                continue
+            table[prev:s:mod] = ramp[q : q + steps]
+        else:
+            first = s
+        start[s % mod] = s
+        table[s] = sign * key
+        for g in parts:
+            if s + g > limit:
+                break
+            heappush(heap, (s + g, key + sign))
+    for s in start:
+        if s >= 0:
+            q = table[s]
+            table[s::mod] = ramp[q : q + (limit - s) // mod + 1]
+    return table, first
 
 
 def _fill(gens, limit: int) -> tuple[array, array, int]:
     """M(n) and m(n) over the sorted ``gens`` for n = 0..limit, both -1 where
     n is no combination of them, and the largest such n (-1 if none)."""
-    # 32-bit entries; array('i') raises OverflowError if a length ever overflows
-    max_table = array("i", [-1]) * (limit + 1)
-    min_table = array("i", [-1]) * (limit + 1)
-    max_table[0] = min_table[0] = 0
-    gap = -1
-    for n in range(1, limit + 1):
-        big, small = -1, n  # n exceeds every m(n - g), so it means "none yet"
-        for g in gens:
-            if g > n:
-                break
-            prev = max_table[n - g]
-            if prev >= 0:
-                if prev > big:
-                    big = prev
-                prev = min_table[n - g]
-                if prev < small:
-                    small = prev
-        if big >= 0:
-            max_table[n] = big + 1
-            min_table[n] = small + 1
-        else:
-            gap = n
-    return max_table, min_table, gap
+    g1 = gens[0]
+    # 32-bit entries; no length exceeds limit // g_1
+    ramp = array("i", range(limit // g1 + 2))
+    max_table, first = _extreme_lengths(g1, gens[1:], limit, ramp, -1)
+    min_table, _ = _extreme_lengths(gens[-1], gens[:-1], limit, ramp, 1)
+    # a class mod g_1 has its last gap one step below its first element, or
+    # at its last entry when no element reaches it up to limit (which only
+    # a wrong fill shows over a window, and the window check then catches)
+    tail = max_table[-g1:]
+    if -1 in tail:
+        return max_table, min_table, limit - tail[::-1].index(-1)
+    return max_table, min_table, max(first - g1, -1)  # -1 too when limit is 0
 
 
 class WindowTables:
@@ -169,7 +211,10 @@ class WindowTables:
     the window the recurrences M(n) = M(n - g_1) + 1 (for n > (g_1 - 1) g_k)
     and m(n) = m(n - g_k) + 1 (for n > limit) answer by stepping back into
     it.  One window serves both: g_{k-1} >= g_1 gives (g_k - 1) g_{k-1} >=
-    (g_k - 1) g_1 >= (g_1 - 1) g_k.  The tables are shared through
+    (g_k - 1) g_1 >= (g_1 - 1) g_k.  Both tables are written by slice
+    copies from the breakpoints of M within each class mod g_1 and of m
+    within each class mod g_k, so a fill costs one pass over the entries
+    plus a heap step per breakpoint.  The tables are shared through
     :func:`window_tables` and must not be written to.
     """
 
@@ -188,10 +233,10 @@ class WindowTables:
         self.max_table, self.min_table, self.frobenius = _fill(generators, limit)
         # A step back lands among the last g_k entries of the window.  When
         # they hold no gap, they are g_k >= g_1 members in a row, which end
-        # every gap: the last gap seen is the Frobenius number F and every
-        # step back lands on a member.  Schur's bound F <= (g_1 - 1)(g_k - 1)
-        # - 1 gives F + g_k <= g_1 (g_k - 1) <= limit, so only a wrong fill
-        # fails this check.
+        # every gap: the largest gap up to limit is the Frobenius number F
+        # and every step back lands on a member.  Schur's bound F <= (g_1 -
+        # 1)(g_k - 1) - 1 gives F + g_k <= g_1 (g_k - 1) <= limit, so only a
+        # wrong fill fails this check.
         if self.frobenius + gk > limit:
             raise InternalInconsistency(f"membership gap inside the window of {generators}")
 
@@ -211,19 +256,29 @@ class WindowTables:
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending:
-        inside the window by index, past it by the same O(1) steps back
-        that max_length and min_length take."""
+        inside the window by index, past it by the steps back that
+        max_length and min_length take."""
         g1, gk, limit = self.g1, self.gk, self.limit
         maxt, mint = self.max_table, self.min_table
         for n in range(max(lo, 0), min(hi, limit) + 1):
             small = mint[n]
             if small >= 0:
                 yield n, maxt[n], small
-        # past the window, which clears the Frobenius number
-        for n in range(max(lo, limit + 1), hi + 1):
-            up = (n - limit + g1 - 1) // g1
-            down = (n - limit + gk - 1) // gk
-            yield n, maxt[n - up * g1] + up, mint[n - down * gk] + down
+        # past the window, which clears the Frobenius number: n steps back to
+        # i = n - up g_1 and j = n - down g_k among the window's last entries,
+        # and each count of steps grows by one where its index wraps
+        n = max(lo, limit + 1)
+        up = (n - limit + g1 - 1) // g1
+        down = (n - limit + gk - 1) // gk
+        i, j = n - up * g1, n - down * gk
+        for n in range(n, hi + 1):
+            yield n, maxt[i] + up, mint[j] + down
+            i += 1
+            if i > limit:
+                i, up = i - g1, up + 1
+            j += 1
+            if j > limit:
+                j, down = j - gk, down + 1
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -6,6 +6,7 @@ The only optimization is vectorizing the innermost exponent loop (the
 smallest generator) with numpy.
 """
 
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,20 @@ def recurrence_elasticity_map(gens, limit):
     return {
         n: Fraction(maxs[n], mins[n]) for n in range(1, limit + 1) if maxs[n] >= 0
     }
+
+
+def dp_fill(gens, limit):
+    """(M, m, gap) by the recurrences above: M(n) and m(n) over the sorted
+    ``gens`` for n = 0..limit, both -1 where n is no combination of them,
+    and the largest such n (-1 if none).  The library's window fill returns
+    the same triple, in the same array type."""
+    maxs, mins = recurrence_length_arrays(gens, limit)
+    gaps = [n for n, big in enumerate(maxs) if big < 0]
+    return (
+        array("i", maxs),
+        array("i", [small if big >= 0 else -1 for big, small in zip(maxs, mins)]),
+        gaps[-1] if gaps else -1,
+    )
 
 
 def three_smallest_distinct(values):

@@ -3,9 +3,12 @@
 Lengths are checked against the full-range recurrence oracle, which knows no
 windows, step-backs or caches; its agreement with the enumeration oracle is
 tested in test_factorizations.py.  Enumeration itself is too slow here: at
-five generators near 40 it takes seconds per monoid.
+five generators near 40 it takes seconds per monoid.  The window fill itself
+is checked entry by entry against the one-atom dynamic program
+``oracles.dp_fill``.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import numelast
 from numelast import NotInMonoid, contains, frobenius, iter_lengths, max_length, min_length, new_monoid
-from numelast.monoid import TABLE_CACHE_SIZE, window_tables
+from numelast.monoid import TABLE_CACHE_SIZE, WindowTables, window_tables
 
 import oracles
 
@@ -82,3 +85,40 @@ def test_tables_match_oracle_through_clear_and_eviction(raw):
     assert window_tables.cache_info().currsize == TABLE_CACHE_SIZE
     assert window_tables(S.generators) is not built
     assert _answers(S, limit) == expected
+
+
+# the monoids of the command-line ladder the benchmark runs
+LADDER = ((7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203))
+
+
+def _raw_sets(count, seed):
+    """``count`` seeded raw sets of 2-6 integers below 120 with gcd 1."""
+    rng = random.Random(seed)
+    while count:
+        raw = [rng.randrange(2, 120) for _ in range(rng.randint(2, 6))]
+        if gcd(*raw) == 1:
+            count -= 1
+            yield raw
+
+
+def _assert_matches_dp(raw):
+    """new_monoid keeps g iff the DP gives M(g) = 1 over the raw set, and
+    the window fill of the result equals the DP's over the window."""
+    gens = sorted(set(raw))
+    max_table, _, _ = oracles.dp_fill(gens, gens[-1])
+    S = new_monoid(raw)
+    assert S.generators == tuple(g for g in gens if max_table[g] == 1)
+    t = WindowTables(S.generators)
+    assert (t.max_table, t.min_table, t.frobenius) == oracles.dp_fill(S.generators, t.limit)
+    return S
+
+
+def test_fill_matches_dp_on_seeded_monoids():
+    sizes = {len(_assert_matches_dp(raw).generators) for raw in _raw_sets(300, seed=16)}
+    assert sizes == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("raw", [[1], [1, 2], [3, 1, 7], [1, 5, 6, 119], *LADDER])
+def test_fill_matches_dp_on_fixed_sets(raw):
+    # raw sets containing 1 normalize to <1>, whose window is the one entry 0
+    _assert_matches_dp(raw)
