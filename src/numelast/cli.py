@@ -10,8 +10,8 @@ test suite).
 stats and plot stream their output, so memory does not grow with the
 range; a reader that closes stdout early ends them quietly.
 
-compare decides two arithmetic progressions by the paper's theorem alone,
-with no length table, so large pairs answer too; other pairs compare profiles.
+compare prints the verdict of compare_profiles, which decides two arithmetic
+progressions by the paper's theorem alone, with no length table.
 
 Exit codes: 0 success, 1 failed verification or internal inconsistency,
 2 invalid generators/arguments or length tables over the budget, 3 I/O
@@ -166,25 +166,17 @@ def cmd_recover(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    S1 = _parse_generators(args.gens1)
-    S2 = _parse_generators(args.gens2)
-    p1 = detect_arithmetical(S1)
-    p2 = detect_arithmetical(S2)
-    if p1 is not None and p2 is not None:  # the theorem decides, without tables
-        if ar.elasticity_sets_equal_arithmetical(p1, p2):
-            print("EQUAL\narithmetical: EQUAL")
-        else:
-            w = ar.arithmetical_witness(p1, p2)
-            print(f"NOT_EQUAL witness={w.numerator}/{w.denominator}\narithmetical: NOT_EQUAL")
-        return 0
+    """Print the compare_profiles verdict; a "theorem" one gets an arithmetical: line."""
+    S1, S2 = _parse_generators(args.gens1), _parse_generators(args.gens2)
     verdict = compare_profiles(S1, S2, args.tmax)
     if verdict.outcome == "equal":
         print("EQUAL")
     elif verdict.outcome == "not_equal":
-        w = verdict.witness
-        print(f"NOT_EQUAL witness={w.numerator}/{w.denominator}")
+        print("NOT_EQUAL witness=%d/%d" % verdict.witness.as_integer_ratio())
     else:
         print(f"UNKNOWN bound={verdict.checked_bound}")
+    if verdict.reason == "theorem":
+        print("arithmetical: " + verdict.outcome.upper())
     return 0
 
 

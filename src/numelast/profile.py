@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, SingleGenerator, TableTooLarge
 from .lengths import iter_lengths, max_length, min_length
-from .monoid import TABLE_LIMIT, NumericalMonoid
+from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
@@ -75,16 +76,17 @@ class SequenceAlignment:
 class ComparisonVerdict:
     """Result of comparing two elasticity sets.
 
-    ``outcome`` is "equal", "not_equal" or "unknown".  A not_equal verdict
-    carries a witness value lying in exactly one of the two sets.  An equal
-    verdict carries the two-directional alignment certificate: one alignment
-    per start of the source, in ``starts`` order; class i's is its start's.
+    ``outcome`` is "equal", "not_equal" or "unknown", and ``reason`` the rule
+    that decided it.  A not_equal verdict carries a witness value lying in
+    exactly one set.  An "alignment" equal verdict carries one alignment per
+    source start each way, in ``starts`` order; a "theorem" one carries none.
     """
 
     outcome: str
     witness: Fraction | None
     checked_bound: int
     certificate: tuple[tuple[SequenceAlignment, ...], tuple[SequenceAlignment, ...]] | None
+    reason: str
 
 
 def _key_scale(S: NumericalMonoid, t_max: int) -> int:
@@ -233,9 +235,15 @@ def _unaligned_values(
 def compare_profiles(
     S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = T_MAX
 ) -> ComparisonVerdict:
-    """Compare the elasticity sets of two monoids; see compare_built_profiles."""
+    """Compare two monoids' elasticity sets: two arithmetic progressions by the
+    theorem, with arithmetical_witness's witness; others by compare_built_profiles."""
     if t_max < 0:
         raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
+    a1, a2 = detect_arithmetical(S1), detect_arithmetical(S2)
+    if a1 is not None and a2 is not None:
+        if elasticity_sets_equal_arithmetical(a1, a2):
+            return ComparisonVerdict("equal", None, t_max, None, "theorem")
+        return ComparisonVerdict("not_equal", arithmetical_witness(a1, a2), t_max, None, "theorem")
     return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
 
 
@@ -244,19 +252,18 @@ def compare_built_profiles(
 ) -> ComparisonVerdict:
     """Compare the elasticity sets of two built profiles.
 
-    Reports not_equal when the limits differ (the witness is the larger
-    limit) or when a bounded value lies outside the other set.  A side's
-    bounded values are its finite part plus its tail values up to step
-    ``t_max``; the witness is the smallest value in the symmetric difference
-    of the two bounded value sets that the other side's set lacks, taken
-    from the first profile's bounded values when one qualifies, else from
-    the second's.  Each start is aligned first.  Aligned values from step
-    t0 on lie in the other set, and the other side's kept values in its
-    own, so cross-checking only the values the alignments leave yields the
-    same witness.  Values are keyed by floor(v K), K the larger _key_scale
-    of the two monoids at ``t_max``.  Reports equal only when every tail sequence of each side
-    is affinely aligned into the other (a complete proof); otherwise
-    unknown at the checked bound.
+    Reports not_equal ("limits") when the limits differ, with the larger
+    limit as the witness.  Otherwise each start is aligned first, and only
+    the values the alignments leave are cross-checked.  A side's bounded
+    values are its finite part plus its tail values up to step ``t_max``,
+    keyed by floor(v K), K the larger _key_scale of the two monoids at
+    ``t_max``.  Aligned values from step t0 on lie in the other set, so the
+    first miss ("cross-check") is the witness a full cross-check would find:
+    the smallest value of the symmetric difference of the two bounded value
+    sets that the other side's set lacks, from the first profile's values
+    when one qualifies, else from the second's.  Reports equal ("alignment")
+    only when every start of each side is aligned into the other, a complete
+    proof; otherwise unknown ("unaligned") at the checked bound.
 
     Raises IndexOutOfRange for a negative ``t_max``, and TableTooLarge when
     the tail values to cross-check, (starts of both sides) * (t_max + 1),
@@ -271,7 +278,7 @@ def compare_built_profiles(
             f"above the limit {TABLE_LIMIT}"
         )
     if p1.limit != p2.limit:
-        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
+        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None, "limits")
     K = max(_key_scale(p1.monoid, t_max), _key_scale(p2.monoid, t_max))
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
@@ -281,10 +288,11 @@ def compare_built_profiles(
         for key in sorted(left.keys() - other.keys()):
             value = Fraction(*left[key])
             if not contains_elasticity(dst, value)[0]:
-                return ComparisonVerdict("not_equal", value, t_max, None)
+                return ComparisonVerdict("not_equal", value, t_max, None, "cross-check")
     if None not in forward and None not in backward:
-        return ComparisonVerdict("equal", None, t_max, (tuple(forward), tuple(backward)))
-    return ComparisonVerdict("unknown", None, t_max, None)
+        proof = (tuple(forward), tuple(backward))
+        return ComparisonVerdict("equal", None, t_max, proof, "alignment")
+    return ComparisonVerdict("unknown", None, t_max, None, "unaligned")
 
 
 def profile_to_json(profile: ElasticityProfile) -> str:

@@ -124,3 +124,27 @@ def three_smallest_distinct(values):
     seen = sorted(set(values))
     assert len(seen) >= 3
     return tuple(seen[:3])
+
+
+def length_set_family(gens, bound):
+    """Every length set L(n) with max L(n) <= ``bound``, as a bitset (bit l
+    set for length l), mapped to the smallest n that has it.
+
+    L(0) = {0} and L(n) = union of L(n - g) + 1 over the generators g <= n,
+    by one int per n.  An element of length at most ``bound`` is at most
+    ``bound`` g_k, so scanning n up to there finds every such set.
+    """
+    gens = sorted(gens)
+    sets = [1]
+    for n in range(1, bound * gens[-1] + 1):
+        bits = 0
+        for g in gens:
+            if g > n:
+                break
+            bits |= sets[n - g]
+        sets.append(bits << 1)
+    family = {}
+    for n, bits in enumerate(sets):
+        if bits and bits.bit_length() <= bound + 1:
+            family.setdefault(bits, n)
+    return family

@@ -22,11 +22,13 @@ from numelast import (
     arithmetical_witness,
     build_profile,
     compare_built_profiles,
+    compare_profiles,
     compare_tuples,
     contains_elasticity,
     elasticity,
     elasticity_sets_equal_arithmetical,
     enumerate_tuples,
+    length_set,
     length_sets_equal_arithmetical,
     max_elasticity,
     max_length,
@@ -364,6 +366,49 @@ def test_equality_predicates_agree_on_grid():
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(500)]
     for p1, p2 in pairs:
         assert elasticity_sets_equal_arithmetical(p1, p2) == length_sets_equal_arithmetical(p1, p2)
+
+
+def test_length_set_family_matches_factorizations():
+    # the bitset recurrence against the length sets of Z(n), at every n it scans
+    for gens in ((3, 5), (4, 5, 6), (6, 10, 13, 14), (7, 12, 17, 22)):
+        S = new_monoid(gens)
+        expected = {}
+        for n in range(12 * S.gk + 1):
+            if n in S and max(lengths := length_set(S, n)) <= 12:
+                expected.setdefault(sum(1 << length for length in lengths), n)
+        assert oracles.length_set_family(gens, 12) == expected, gens
+
+
+def test_theorem_matches_length_set_families_exhaustively():
+    # every progression with a <= 12 and d <= 4: the theorem's predicate holds
+    # exactly when the two collections of length sets, cut at length 24, agree
+    pool = [
+        ArithmeticalParams(a, d, k)
+        for a in range(2, 13) for d in range(1, 5) for k in range(1, a) if gcd(a, d) == 1
+    ]
+    same_limit = [
+        (p1, p2) for i, p1 in enumerate(pool) for p2 in pool[i + 1:]
+        if p1.step_bound() == p2.step_bound()
+    ]
+    families = {
+        p: oracles.length_set_family(p.generators(), 24).keys() for pair in same_limit for p in pair
+    }
+    predicate = [length_sets_equal_arithmetical(p1, p2) for p1, p2 in same_limit]
+    assert predicate == [families[p1] == families[p2] for p1, p2 in same_limit]
+    assert (len(pool), len(same_limit), sum(predicate)) == (166, 132, 21)
+
+
+def test_equal_elasticity_sets_need_not_share_length_sets():
+    # the theorem's equivalence is for progressions only: README's EQUAL pair
+    # has equal elasticity sets, but L(43) = {4, 6} in the first monoid and
+    # in no element of the second; an element of length at most 6 is at most
+    # 6 g_k, so the families cut at length 30 hold every such set
+    S1, S2 = new_monoid([6, 10, 13, 14]), new_monoid([6, 11, 13, 14])
+    assert compare_profiles(S1, S2).outcome == "equal"
+    four_six = 1 << 4 | 1 << 6
+    assert length_set(S1, 43) == {4, 6}
+    assert oracles.length_set_family(S1.generators, 30).get(four_six) == 43
+    assert four_six not in oracles.length_set_family(S2.generators, 30)
 
 
 def test_theorem_agrees_with_profiles_on_small_progressions():

@@ -14,6 +14,7 @@ from numelast.lengths import length_stats_range
 from numelast.monoid import WindowTables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *args):
@@ -169,8 +170,23 @@ def test_compare_invalid(capsys):
     assert code == 2 and "error" in err
     code, out, err = run(capsys, "compare", "1", "3,5")  # <1> has no tails
     assert code == 2 and out == "" and "error" in err
-    code, out, err = run(capsys, "compare", "6,10,13,14", "6,11,13,14", "--tmax", "-1")
-    assert code == 2 and out == "" and "nonnegative" in err
+    # a negative bound is refused for every pair, two progressions included
+    for pair in (("6,10,13,14", "6,11,13,14"), ("3,5", "3,5")):
+        code, out, err = run(capsys, "compare", *pair, "--tmax", "-1")
+        assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_readme_cli_examples(capsys):
+    # each recover and compare line of README's CLI block prints its comment first
+    block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        line.split("#", 1) for line in block.splitlines()
+        if line.startswith(("numelast recover ", "numelast compare "))
+    ]
+    assert len(examples) == 3
+    for command, comment in examples:
+        code, out, _ = run(capsys, *command.split()[1:])
+        assert code == 0 and out.splitlines()[0] == comment.strip(), command
 
 
 @pytest.mark.parametrize("gens1, gens2, lines", [

@@ -1,4 +1,4 @@
-"""compare_profiles against a plain reference of the same decision procedure.
+"""compare_built_profiles against a plain reference of the same decision procedure.
 
 The reference cross-checks the way the first version of compare_profiles
 did: it builds every bounded value (finite part plus tail steps t <= t_max)
@@ -21,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numelast import (
+    ArithmeticalParams,
     ComparisonVerdict,
     SequenceAlignment,
     build_profile,
@@ -114,15 +115,15 @@ def _expanded(verdict, S1, S2):
 def reference_verdict(S1, S2, t_max=T_MAX):
     p1, p2 = build_profile(S1), build_profile(S2)
     if p1.limit != p2.limit:
-        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None)
+        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None, "limits")
     for src, dst in ((p1, p2), (p2, p1)):
         for value in _candidates(src, t_max):
             if not contains_elasticity(dst, value)[0]:
-                return ComparisonVerdict("not_equal", value, t_max, None)
+                return ComparisonVerdict("not_equal", value, t_max, None, "cross-check")
     forward, backward = _align(p1, p2, t_max), _align(p2, p1, t_max)
     if forward is None or backward is None:
-        return ComparisonVerdict("unknown", None, t_max, None)
-    return ComparisonVerdict("equal", None, t_max, (forward, backward))
+        return ComparisonVerdict("unknown", None, t_max, None, "unaligned")
+    return ComparisonVerdict("equal", None, t_max, (forward, backward), "alignment")
 
 
 def _draw(rng, lo, hi):
@@ -161,7 +162,7 @@ def test_verdicts_match_reference_on_seeded_pairs():
     # alignment covers often decides the witness
     for t_max in (T_MAX, 1):
         for S1, S2 in _same_limit_pairs(seed=20140912, count=48, scaled=12):
-            verdict = compare_profiles(S1, S2, t_max)
+            verdict = compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
             assert _expanded(verdict, S1, S2) == reference_verdict(S1, S2, t_max), (S1, S2, t_max)
             outcomes[verdict.outcome] += 1
     # the sample holds both witnesses and certificates; "unknown" is rare at
@@ -189,7 +190,7 @@ def test_verdicts_match_reference_on_fixtures():
     for gens1, gens2 in fixtures:
         S1, S2 = new_monoid(gens1), new_monoid(gens2)
         for t_max in (0, 3, T_MAX):
-            verdict = compare_profiles(S1, S2, t_max)
+            verdict = compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
             assert _expanded(verdict, S1, S2) == reference_verdict(S1, S2, t_max), (
                 gens1, gens2, t_max
             )
@@ -236,6 +237,28 @@ def _oracle_contains(gens, q):
         if rem == 0 and t >= 0:
             return True
     return False
+
+
+def test_progression_witnesses_lie_in_exactly_one_set():
+    # compare_profiles decides two progressions by the theorem alone; each
+    # not_equal witness must separate the two sets by the recurrence oracle
+    pool = [
+        ArithmeticalParams(a, d, k)
+        for a in range(2, 13) for d in range(1, 5) for k in range(1, a) if gcd(a, d) == 1
+    ]
+    outcomes = Counter()
+    for p1 in pool:
+        for p2 in pool:
+            if p1 == p2 or p1.step_bound() != p2.step_bound():
+                continue
+            verdict = compare_profiles(p1.monoid(), p2.monoid())
+            assert (verdict.reason, verdict.certificate) == ("theorem", None)
+            if verdict.outcome == "not_equal":
+                gens1, gens2 = p1.generators(), p2.generators()
+                w = verdict.witness
+                assert _oracle_contains(gens1, w) != _oracle_contains(gens2, w), (p1, p2)
+            outcomes[verdict.outcome] += 1
+    assert outcomes == {"equal": 42, "not_equal": 222}
 
 
 def _check_alignment(a, src, dst, t_max):

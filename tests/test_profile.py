@@ -225,13 +225,18 @@ def test_compare_profiles_equal_fixture():
 def test_compare_profiles_not_equal_fixture():
     S = new_monoid([14, 17, 20, 23, 26, 29, 32])
     Sp = new_monoid([7, 10, 13, 16])
-    verdict = compare_profiles(S, Sp, 50)
-    assert verdict.outcome == "not_equal"
+    p1, p2 = build_profile(S), build_profile(Sp)
+    verdict = compare_built_profiles(p1, p2, 50)
+    assert (verdict.outcome, verdict.reason) == ("not_equal", "cross-check")
     # smallest value in the symmetric difference under the bounded scan
     assert verdict.witness == Fraction(34, 19)
-    p1, p2 = build_profile(S), build_profile(Sp)
     assert contains_elasticity(p1, verdict.witness)[0] != contains_elasticity(p2, verdict.witness)[0]
-    # the coprime maximal tuple's value also separates the two sets
+    # two progressions: compare_profiles answers by the theorem, with the
+    # coprime maximal tuple's value, which also separates the two sets
+    theorem = compare_profiles(S, Sp, 50)
+    assert (theorem.outcome, theorem.witness, theorem.reason) == (
+        "not_equal", Fraction(86, 39), "theorem"
+    )
     assert contains_elasticity(p1, Fraction(86, 39))[0]
     assert not contains_elasticity(p2, Fraction(86, 39))[0]
 
