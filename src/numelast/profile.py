@@ -11,16 +11,24 @@ membership of any rational is decidable by solving each sequence for t.
 A profile holds the finite part and an index of the distinct starts (M0, m0),
 each mapped to its first class; the monoid's length tables give any class's.
 Sequences with the same start take the same values, and there are far fewer
-starts than classes (321 for the 3131 of <31,57,73,101>), so membership
-queries scan the starts and a certificate holds one entry per start, naming
-the same sequence a scan of every class would.  An alignment reaches target
-starts only through their index by a_num (see _align_sequences).
+starts than classes (321 for the 3131 of <31,57,73,101>), so a certificate
+holds one entry per start, naming the same sequence a scan of every class
+would.  An alignment reaches target starts only through their index by a_num
+(see _align_sequences).
+
+With y = m0 + t g_1 and J = g_k m0 - g_1 M0, the value at step t is
+(g_k y - J)/(g_1 y): a tail is the ray y >= m0, y = m0 (mod g_1) on the line
+J, and J > 0 unless the tail is flat at the limit.  A profile also indexes
+its non-flat starts by line, so a membership query visits only the lines
+that can hold it, or scans the starts when those are more (see
+contains_elasticity).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, SingleGenerator, TableTooLarge
@@ -33,10 +41,13 @@ T_MAX = 50
 
 @dataclass
 class ElasticityProfile:
-    """Finite part and tail start index of one elasticity set.
+    """Finite part, tail start index and tail line index of one elasticity set.
 
     Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0) and
-    m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.
+    m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.  ``lines``
+    maps each line J = g_k m0 - g_1 M0 > 0 of a non-flat start to the flat
+    tuple (m0, first class, m0', first class', ...) of its starts, in
+    ``starts`` order; flat starts (J = 0) have no line.
     """
 
     monoid: NumericalMonoid
@@ -44,6 +55,7 @@ class ElasticityProfile:
     period: int
     finite_part: dict[Fraction, int]  # value -> smallest witness >= 1, in increasing value
     starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
+    lines: dict[int, tuple[int, ...]]  # J -> (m0, first class, ...), in increasing J
 
     @property
     def limit(self) -> Fraction:
@@ -102,11 +114,13 @@ def _key_scale(S: NumericalMonoid, t_max: int) -> int:
 
 
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
-    """Finite part and tail starts of the monoid's elasticity set.  The rows
-    come in increasing n, so the first row of a value is its smallest witness."""
+    """Finite part, tail starts and tail lines of the monoid's elasticity set.
+    The rows come in increasing n, so the first row of a value is its
+    smallest witness, and a line lists its starts in ``starts`` order."""
     if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
-    base, period = S.generators[-2] * S.gk, S.g1 * S.gk
+    g1, gk = S.g1, S.gk
+    base, period = S.generators[-2] * gk, g1 * gk
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
     for n, big, small in iter_lengths(S, 1, base - 1):
@@ -114,13 +128,18 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
         if key not in finite:
             finite[key] = big, small, n
     starts: dict[tuple[int, int], int] = {}
+    lines: dict[int, tuple[int, ...]] = {}
     for n, big, small in iter_lengths(S, base, base + period - 1):
         key = big * K // small
         if key not in finite:
             finite[key] = big, small, n
-        starts.setdefault((big, small), n - base)
+        if (big, small) not in starts:
+            starts[big, small] = n - base
+            J = gk * small - g1 * big
+            if J:
+                lines[J] = lines.get(J, ()) + (small, n - base)
     finite_part = {Fraction(big, small): n for _, (big, small, n) in sorted(finite.items())}
-    return ElasticityProfile(S, base, period, finite_part, starts)
+    return ElasticityProfile(S, base, period, finite_part, starts, dict(sorted(lines.items())))
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
@@ -136,29 +155,56 @@ def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
 def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None]:
     """Exact membership of ``q`` in the elasticity set, with a witness element.
 
-    Checks the finite part, then solves q = (M0 + t g_k)/(m0 + t g_1) for an
-    integer t >= 0 from each distinct tail start (M0, m0).  The witness of a
-    tail hit lies in the first sequence that solves it.
+    Looks ``q`` up in the finite part, else solves q = (g_k y - J)/(g_1 y)
+    on the tail lines.  With q = num/den and u = den g_k - num g_1 > 0, a
+    line J holds q iff u divides den J, that is iff J is a multiple of
+    s = u/gcd(den, u), at y = den J/u; a start (m0, i) on it attains q iff
+    m0 <= y and y = m0 (mod g_1), at step t = (y - m0)/g_1.  The query
+    walks the multiples of s up to the largest line when they are fewer
+    than the starts, else it solves each start for t.  Either way the
+    witness lies in the hit start of smallest first class, as a scan of
+    every class would find it.
     """
     q = Fraction(q)
-    if q < 1 or q > profile.limit:
-        return False, None
     witness = profile.finite_part.get(q)
     if witness is not None:
         return True, witness
     gens = profile.monoid.generators
     g1, gk = gens[0], gens[-1]
     num, den = q.numerator, q.denominator
-    # Negative: q is below the limit, because the finite part holds the
-    # limit.  M(g_1 g_k) = g_k (g_k copies of g_1, no factor is smaller) and
-    # m(g_1 g_k) = g_1 (g_1 copies of g_k, no factor is larger), and
-    # g_1 g_k <= g_{k-1} g_k = base lies below the end of the finite part.
-    slope = num * g1 - den * gk
-    for (big, small), i in profile.starts.items():
-        tn = den * big - num * small
-        if tn % slope:
+    # Every finite value lies in [1, g_k/g_1], and the finite part holds
+    # g_k/g_1 itself: M(g_1 g_k) = g_k (g_k copies of g_1, no factor is
+    # smaller) and m(g_1 g_k) = g_1 (g_1 copies of g_k, no factor is
+    # larger), and g_1 g_k <= g_{k-1} g_k = base lies below the end of the
+    # finite part.  So a tail value has num < den g_k/g_1, that is u > 0.
+    u = den * gk - num * g1
+    if num < den or u <= 0:
+        return False, None
+    lines, starts = profile.lines, profile.starts
+    step = u // gcd(den, u)
+    top = next(reversed(lines), 0)
+    if top // step < len(starts):
+        best = None  # (first class, step t) of the hit start of smallest first class
+        get = lines.get
+        for J in range(step, top + 1, step):
+            line = get(J)
+            if line is None:
+                continue
+            y = den * J // u
+            for k in range(0, len(line), 2):  # in starts order: the first hit is this line's best
+                m0 = line[k]
+                if m0 <= y and (y - m0) % g1 == 0:
+                    if best is None or line[k + 1] < best[0]:
+                        best = line[k + 1], (y - m0) // g1
+                    break
+        if best is None:
+            return False, None
+        return True, profile.base + best[0] + best[1] * profile.period
+    for (big, small), i in starts.items():
+        tn = num * small - den * big  # t u = num m0 - den M0
+        if tn % u:
             continue
-        t = tn // slope
+        t = tn // u
         if t >= 0:
             return True, profile.base + i + t * profile.period
     return False, None

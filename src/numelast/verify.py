@@ -14,6 +14,7 @@ from . import arithmetical as ar
 from . import monoid as mo
 from . import profile as pr
 from .lengths import (
+    elasticity as _elasticity,
     factorizations as _factorizations,
     length_stats_range as _length_stats_range,
     max_length as _max_length,
@@ -59,6 +60,13 @@ def check_profile_decomposition() -> bool:
             else:
                 t, idx = divmod(st.n - prof.base, prof.period)
                 if pr.sequence_value(prof, idx, t) != st.elasticity:
+                    return False
+        # tail values past the finite part, solved on the tail lines or starts
+        for idx in range(0, prof.period, max(1, prof.period // 25)):
+            for t in (1, 50, 10**4):
+                value = pr.sequence_value(prof, idx, t)
+                found, witness = pr.contains_elasticity(prof, value)
+                if not found or _elasticity(S, witness) != value:
                     return False
     return True
 

@@ -148,3 +148,25 @@ def length_set_family(gens, bound):
         if bits and bits.bit_length() <= bound + 1:
             family.setdefault(bits, n)
     return family
+
+
+def start_scan_membership(profile, q):
+    """(found, witness) for ``q`` by the finite part and then by solving
+    q (m0 + t g_1) = M0 + t g_k for an integer t >= 0 from each distinct tail
+    start, in ``starts`` order: the first that solves it gives the witness
+    base + i + t period, i its first class.  It reads only the profile's
+    public ``finite_part`` and ``starts``, not its line index."""
+    q = Fraction(q)
+    g1, gk = profile.monoid.g1, profile.monoid.gk
+    if q < 1 or q > Fraction(gk, g1):
+        return False, None
+    witness = profile.finite_part.get(q)
+    if witness is not None:
+        return True, witness
+    num, den = q.numerator, q.denominator
+    slope = num * g1 - den * gk  # below the limit, which the finite part holds
+    for (big, small), i in profile.starts.items():
+        t, rem = divmod(den * big - num * small, slope)
+        if rem == 0 and t >= 0:
+            return True, profile.base + i + t * profile.period
+    return False, None
