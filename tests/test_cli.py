@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,17 @@ def test_verify_negative_control(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL core.length_tables_match_enumeration" in out
+
+
+def test_verify_profile_negative_control(capsys, monkeypatch):
+    # empty the tail line index: tail values past the finite part are no
+    # longer found, and the profile suite must notice and exit nonzero
+    build = numelast.profile.build_profile
+    monkeypatch.setattr(numelast.profile, "build_profile", lambda S: replace(build(S), lines={}))
+    code = main(["verify", "--suite", "profile"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL profile.profile_decomposition" in out
 
 
 def test_verify_arith_fails_under_optimize_flag():

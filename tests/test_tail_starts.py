@@ -1,14 +1,18 @@
-"""Property tests of contains_elasticity, which scans distinct tail starts.
+"""Property tests of contains_elasticity, which solves tails on an index of
+tail lines or by scanning the distinct tail starts.
 
-The reference below scans every tail sequence, one per residue class modulo
-g_1 g_k; contains_elasticity must return the same (found, witness) pair.
+The references are a scan of every tail sequence, one per residue class
+modulo g_1 g_k, below, and the start scan oracles.start_scan_membership;
+contains_elasticity must return the same (found, witness) pair as both.
 Witnesses are checked against elasticity() and, for finite-part hits,
 against the smallest element in the recurrence oracle.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +82,134 @@ def test_membership_matches_full_scan_and_witnesses_round_trip(raw, data):
             assert elasticity(S, witness) == q
             if q in profile.finite_part:
                 assert witness == smallest[q]
+
+
+# the monoids of the benchmark's profile-queries workload
+QUERY_MONOIDS = ((31, 57, 73, 101), (101, 157, 203), (211, 307, 401))
+
+
+def _line(S, start):
+    big, small = start
+    return S.gk * small - S.g1 * big
+
+
+def _walks(profile, q):
+    """Whether a tail query walks the multiples of its line step rather than
+    scanning the starts, from the starts and the generators alone: u =
+    den g_k - num g_1, the step u/gcd(den, u), and the largest line J."""
+    S = profile.monoid
+    u = q.denominator * S.gk - q.numerator * S.g1
+    top = max(_line(S, start) for start in profile.starts)
+    return top // (u // gcd(q.denominator, u)) < len(profile.starts)
+
+
+def _seeded_queries(rng, profile):
+    S, period = profile.monoid, profile.period
+    g1, gk = S.g1, S.gk
+    finite = list(profile.finite_part)
+    queries = rng.sample(finite, min(len(finite), 20))
+    for _ in range(25):
+        queries.append(sequence_value(profile, rng.randrange(period), rng.randint(0, 60)))
+    for _ in range(25):  # log-spread steps up to 10^6
+        queries.append(sequence_value(profile, rng.randrange(period), int(10 ** rng.uniform(0, 6))))
+    for _ in range(30):
+        den = rng.randint(1, 10**4)
+        queries.append(Fraction(rng.randint(den, den * gk // g1), den))
+    limit = Fraction(gk, g1)
+    queries += [1, Fraction(1), limit, limit + Fraction(1, 10**6), Fraction(10**4 - 1, 10**4)]
+    return queries
+
+
+def _seeded_monoids(rng, count):
+    monoids = []
+    while len(monoids) < count:
+        raw = rng.sample(range(2, 60), rng.randint(2, 5))
+        S = new_monoid(raw) if gcd(*raw) == 1 else None
+        if S is not None and len(S.generators) >= 2:
+            monoids.append(S)
+    return monoids
+
+
+def test_membership_matches_start_scan_oracle_on_seeded_queries():
+    rng = random.Random(20141)
+    monoids = [new_monoid(gens) for gens in QUERY_MONOIDS] + _seeded_monoids(rng, 40)
+    paths = {True: 0, False: 0}  # walk, scan
+    for S in monoids:
+        profile = build_profile(S)
+        for q in _seeded_queries(rng, profile):
+            found, witness = contains_elasticity(profile, q)
+            assert (found, witness) == oracles.start_scan_membership(profile, q), (S.generators, q)
+            if found:
+                assert elasticity(S, witness) == q
+            q = Fraction(q)
+            if 1 < q < profile.limit and q not in profile.finite_part:
+                paths[_walks(profile, q)] += 1
+    assert paths[True] >= 50 and paths[False] >= 50, paths
+
+
+def test_line_index_holds_every_non_flat_start_once():
+    # the lines list the non-flat starts grouped by J = g_k m0 - g_1 M0, in
+    # increasing J and within a line in starts order; flat starts (J = 0)
+    # never enter it
+    rng = random.Random(4)
+    monoids = [new_monoid(gens) for gens in QUERY_MONOIDS] + _seeded_monoids(rng, 10)
+    for S in monoids:
+        profile = build_profile(S)
+        flat = [start for start in profile.starts if _line(S, start) == 0]
+        assert flat  # n = c g_1 g_k in the window is flat
+        expected = sorted(
+            ((_line(S, start), start[1], i) for start, i in profile.starts.items() if start not in flat),
+            key=lambda entry: entry[0],
+        )
+        indexed = [
+            (J, line[k], line[k + 1]) for J, line in profile.lines.items() for k in range(0, len(line), 2)
+        ]
+        assert indexed == expected
+        assert min(profile.lines) > 0
+
+
+@pytest.mark.parametrize("t, smallest_class", [(2, 75), (4, 0)])
+def test_witness_is_the_hit_start_of_smallest_first_class(t, smallest_class):
+    # On <211,307,401>, 37 of the 2,677 lines hold two starts, and class
+    # 84306 (m0 = 521) is the second start on line 1508, after class 75
+    # (m0 = 310): its ray is class 75's from step 1 on.  At step 2 the hit
+    # start of smallest first class is class 75 on the same line.  At step
+    # 4 the value also lies on other lines; the walk meets line 1044 (class
+    # 961) first, but the witness must come from class 0 on line 2204.
+    S = new_monoid((211, 307, 401))
+    profile = build_profile(S)
+    g1, gk = S.g1, S.gk
+    assert len(profile.lines) == 2677
+    assert sum(len(line) == 4 for line in profile.lines.values()) == 37
+    assert profile.lines[1508] == (310, 75, 521, 84306)
+    q = sequence_value(profile, 84306, t)
+    assert q not in profile.finite_part and _walks(profile, q)
+    u = q.denominator * gk - q.numerator * g1
+    hits = []  # (J, first class, step t) of every start that attains q, in walk order
+    for start, i in profile.starts.items():
+        big, small = start
+        tn = q.numerator * small - q.denominator * big  # t u
+        if tn % u == 0 and tn >= 0:
+            hits.append((_line(S, start), i, tn // u))
+    hits.sort()
+    smallest = min(hits, key=lambda hit: hit[1])
+    assert smallest[1] == smallest_class
+    assert {(1508, 75), (1508, 84306)} <= {hit[:2] for hit in hits}
+    if smallest_class == 0:
+        assert hits[0][:2] == (1044, 961)  # the first line the walk finds
+        assert (2204, 0) in {hit[:2] for hit in hits}
+    witness = profile.base + smallest[1] + smallest[2] * profile.period
+    assert contains_elasticity(profile, q) == (True, witness)
+    assert oracles.start_scan_membership(profile, q) == (True, witness)
+    assert elasticity(S, witness) == q
+
+
+@pytest.mark.parametrize("q, J, m0, y", [(Fraction(9, 8), 1430, 218, 16), (Fraction(31, 23), 1538, 225, 23)])
+def test_line_point_before_its_ray_start_is_no_hit(q, J, m0, y):
+    # On <101,157,203>, q sits on line J at y = m0 - 2 g_1: in the residue of
+    # the ray of start m0 but before its step 0, and on no other ray
+    S = new_monoid((101, 157, 203))
+    profile = build_profile(S)
+    assert m0 in profile.lines[J][::2] and y == m0 - 2 * S.g1
+    assert q == Fraction(S.gk * y - J, S.g1 * y) and _walks(profile, q)
+    assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q) == (False, None)
