@@ -19,9 +19,8 @@ would.  An alignment reaches target starts only through their index by a_num
 With y = m0 + t g_1 and J = g_k m0 - g_1 M0, the value at step t is
 (g_k y - J)/(g_1 y): a tail is the ray y >= m0, y = m0 (mod g_1) on the line
 J, and J > 0 unless the tail is flat at the limit.  A profile also indexes
-its non-flat starts by line, so a membership query visits only the lines
-that can hold it, or scans the starts when those are more (see
-contains_elasticity).
+its non-flat starts by line, so a membership query solves only the lines
+that can hold it (see contains_elasticity).
 """
 
 from __future__ import annotations
@@ -160,8 +159,8 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     line J holds q iff u divides den J, that is iff J is a multiple of
     s = u/gcd(den, u), at y = den J/u; a start (m0, i) on it attains q iff
     m0 <= y and y = m0 (mod g_1), at step t = (y - m0)/g_1.  The query
-    walks the multiples of s up to the largest line when they are fewer
-    than the starts, else it solves each start for t.  Either way the
+    visits the multiples of s up to the largest line, or every line when
+    those multiples are more, skipping each J that s does not divide.  The
     witness lies in the hit start of smallest first class, as a scan of
     every class would find it.
     """
@@ -180,34 +179,29 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     u = den * gk - num * g1
     if num < den or u <= 0:
         return False, None
-    lines, starts = profile.lines, profile.starts
+    lines = profile.lines
     step = u // gcd(den, u)
     top = next(reversed(lines), 0)
-    if top // step < len(starts):
-        best = None  # (first class, step t) of the hit start of smallest first class
-        get = lines.get
-        for J in range(step, top + 1, step):
-            line = get(J)
-            if line is None:
-                continue
-            y = den * J // u
-            for k in range(0, len(line), 2):  # in starts order: the first hit is this line's best
-                m0 = line[k]
-                if m0 <= y and (y - m0) % g1 == 0:
-                    if best is None or line[k + 1] < best[0]:
-                        best = line[k + 1], (y - m0) // g1
-                    break
-        if best is None:
-            return False, None
-        return True, profile.base + best[0] + best[1] * profile.period
-    for (big, small), i in starts.items():
-        tn = num * small - den * big  # t u = num m0 - den M0
-        if tn % u:
+    # the multiples of step up to the largest line, or every line when those
+    # are fewer; a line J holds q only when step divides it
+    visit = range(step, top + 1, step) if top // step < len(lines) else lines
+    best = None  # (first class, step t) of the hit start of smallest first class
+    for J in visit:
+        if J % step:
             continue
-        t = tn // u
-        if t >= 0:
-            return True, profile.base + i + t * profile.period
-    return False, None
+        line = lines.get(J)
+        if line is None:
+            continue
+        y = den * J // u
+        for k in range(0, len(line), 2):  # in starts order: the first hit is this line's best
+            m0 = line[k]
+            if m0 <= y and (y - m0) % g1 == 0:
+                if best is None or line[k + 1] < best[0]:
+                    best = line[k + 1], (y - m0) // g1
+                break
+    if best is None:
+        return False, None
+    return True, profile.base + best[0] + best[1] * profile.period
 
 
 def _align_sequences(

@@ -61,7 +61,7 @@ def check_profile_decomposition() -> bool:
                 t, idx = divmod(st.n - prof.base, prof.period)
                 if pr.sequence_value(prof, idx, t) != st.elasticity:
                     return False
-        # tail values past the finite part, solved on the tail lines or starts
+        # tail values past the finite part, solved on the tail lines
         for idx in range(0, prof.period, max(1, prof.period // 25)):
             for t in (1, 50, 10**4):
                 value = pr.sequence_value(prof, idx, t)

@@ -1,5 +1,5 @@
 """Property tests of contains_elasticity, which solves tails on an index of
-tail lines or by scanning the distinct tail starts.
+tail lines.
 
 The references are a scan of every tail sequence, one per residue class
 modulo g_1 g_k, below, and the start scan oracles.start_scan_membership;
@@ -8,6 +8,7 @@ Witnesses are checked against elasticity() and, for finite-part hits,
 against the smallest element in the recurrence oracle.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -93,14 +94,26 @@ def _line(S, start):
     return S.gk * small - S.g1 * big
 
 
-def _walks(profile, q):
-    """Whether a tail query walks the multiples of its line step rather than
-    scanning the starts, from the starts and the generators alone: u =
-    den g_k - num g_1, the step u/gcd(den, u), and the largest line J."""
-    S = profile.monoid
-    u = q.denominator * S.gk - q.numerator * S.g1
-    top = max(_line(S, start) for start in profile.starts)
-    return top // (u // gcd(q.denominator, u)) < len(profile.starts)
+class _CountingLines(dict):
+    """A profile's line index that records how a query visits it: a query
+    that passes over every line iterates the dict, one that walks the
+    multiples of its line step only looks lines up."""
+
+    def __init__(self, lines):
+        super().__init__(lines)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _traced(profile, q):
+    """contains_elasticity(profile, q) and whether it walked the multiples of
+    its line step (True) or passed over every line (False)."""
+    lines = _CountingLines(profile.lines)
+    result = contains_elasticity(dataclasses.replace(profile, lines=lines), q)
+    return result, lines.passes == 0
 
 
 def _seeded_queries(rng, profile):
@@ -133,17 +146,18 @@ def _seeded_monoids(rng, count):
 def test_membership_matches_start_scan_oracle_on_seeded_queries():
     rng = random.Random(20141)
     monoids = [new_monoid(gens) for gens in QUERY_MONOIDS] + _seeded_monoids(rng, 40)
-    paths = {True: 0, False: 0}  # walk, scan
+    paths = {True: 0, False: 0}  # walk, pass over every line
     for S in monoids:
         profile = build_profile(S)
         for q in _seeded_queries(rng, profile):
-            found, witness = contains_elasticity(profile, q)
+            (found, witness), walked = _traced(profile, q)
             assert (found, witness) == oracles.start_scan_membership(profile, q), (S.generators, q)
+            assert (found, witness) == contains_elasticity(profile, q)
             if found:
                 assert elasticity(S, witness) == q
             q = Fraction(q)
             if 1 < q < profile.limit and q not in profile.finite_part:
-                paths[_walks(profile, q)] += 1
+                paths[walked] += 1
     assert paths[True] >= 50 and paths[False] >= 50, paths
 
 
@@ -183,7 +197,7 @@ def test_witness_is_the_hit_start_of_smallest_first_class(t, smallest_class):
     assert sum(len(line) == 4 for line in profile.lines.values()) == 37
     assert profile.lines[1508] == (310, 75, 521, 84306)
     q = sequence_value(profile, 84306, t)
-    assert q not in profile.finite_part and _walks(profile, q)
+    assert q not in profile.finite_part
     u = q.denominator * gk - q.numerator * g1
     hits = []  # (J, first class, step t) of every start that attains q, in walk order
     for start, i in profile.starts.items():
@@ -199,7 +213,7 @@ def test_witness_is_the_hit_start_of_smallest_first_class(t, smallest_class):
         assert hits[0][:2] == (1044, 961)  # the first line the walk finds
         assert (2204, 0) in {hit[:2] for hit in hits}
     witness = profile.base + smallest[1] + smallest[2] * profile.period
-    assert contains_elasticity(profile, q) == (True, witness)
+    assert _traced(profile, q) == ((True, witness), True)
     assert oracles.start_scan_membership(profile, q) == (True, witness)
     assert elasticity(S, witness) == q
 
@@ -211,5 +225,6 @@ def test_line_point_before_its_ray_start_is_no_hit(q, J, m0, y):
     S = new_monoid((101, 157, 203))
     profile = build_profile(S)
     assert m0 in profile.lines[J][::2] and y == m0 - 2 * S.g1
-    assert q == Fraction(S.gk * y - J, S.g1 * y) and _walks(profile, q)
-    assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q) == (False, None)
+    assert q == Fraction(S.gk * y - J, S.g1 * y)
+    assert _traced(profile, q) == ((False, None), True)
+    assert oracles.start_scan_membership(profile, q) == (False, None)
