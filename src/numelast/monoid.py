@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,91 +135,131 @@ def new_monoid(raw) -> NumericalMonoid:
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
         )
     g1, gk = gens[0], gens[-1]
-    # only M(g) = 1 matters, so only the longest lengths are filled
-    max_table, _ = _extreme_lengths(g1, gens[1:], gk, array("i", range(gk // g1 + 2)), -1)
-    return NumericalMonoid(tuple(g for g in gens if max_table[g] == 1))
+    # only M(g) = 1 matters, so only the breakpoints of M up to g_k are found
+    breaks = _breakpoints(g1, gens[1:], gk, -1)
+    return NumericalMonoid(tuple(g for g in gens if _length(breaks, g1, g) == 1))
 
 
-def _extreme_lengths(mod: int, parts, limit: int, ramp: array, sign: int) -> tuple[array, int]:
-    """Longest (``sign`` -1) or shortest (+1) factorization lengths over
-    ``mod`` and the other generators ``parts``, for n = 0..limit (-1 where n
-    is no combination of them), and the largest first element of a class
-    mod ``mod``.  ``ramp[i]`` must be i up to the longest length.
+def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int, int]]]:
+    """Breakpoints of the longest (``sign`` -1) or shortest (+1)
+    factorization lengths over ``mod`` and the other generators ``parts``
+    (ascending), for n = 0..limit: per class mod ``mod``, the pairs (s, c)
+    in increasing s, where the length of n is (n + c)/mod from the
+    breakpoint s up to the class's next one.  A class's first breakpoint is
+    its least combination; below it n is none.
 
-    Write n = c mod + s with s a sum of q parts.  That factorization has
+    Write n = c' mod + s with s a sum of q parts.  That factorization has
     length (n - w)/mod, with weight w = s - q mod = sum (g - mod) c_g, so
     within a class mod ``mod`` the extreme length of n comes from the
     extreme weight over the sums s <= n: the class's lengths are ramps,
     rising by one per step of ``mod``, that restart where that weight
-    improves.  Those breakpoints are found by label setting: sums pop from
-    a heap in increasing s, the best q first, and a sum that does not
-    improve its class starts no ramp and is not extended, since every
-    extension of it is beaten by the same extension of the sum that beat
-    it.  Each ramp is written once, by one slice copy, when the next
-    breakpoint of its class or the end is known.
+    improves, with c = -w.  Those breakpoints are found by label setting:
+    sums pop from a heap in increasing s, the best weight first, and a sum
+    that does not improve its class starts no ramp and is not extended,
+    since every extension of it is beaten by the same extension of the sum
+    that beat it.
+
+    Sums are extended in canonical order: a kept sum whose last part is
+    ``parts[j]`` is extended only by the ``parts[i]`` with i >= j, and of
+    entries with equal sum and weight the smallest j pops first.  No
+    breakpoint is lost.  Let s be a breakpoint and j the least index such
+    that s has an optimal representation whose largest part is
+    ``parts[j]``.  Then s - parts[j] is a breakpoint too, and the rest of
+    that representation is optimal for it: if an earlier sum of its class
+    were as good, adding ``parts[j]`` to that sum would give an earlier sum
+    as good as s in the class of s.  By induction on s, the kept entry of
+    s - parts[j] carries an index at most j, so it pushes s with index j;
+    and an entry of s with the optimal weight carries the largest part of
+    an optimal representation of s, so no such entry has an index below j.
+    The kept entry of s therefore carries the least such j, as the
+    induction needs.
     """
-    table = array("i", [-1]) * (limit + 1)
-    # each class's last breakpoint s so far; table[s] holds its length
-    # until the ramp from s is written
-    start = array("i", [-1]) * mod
-    first = -1
-    heap = [(0, 0)]  # (s, sign * q)
+    breaks: list[list[tuple[int, int]]] = [[] for _ in range(mod)]
+    # each class's best key so far; every key sign * c is below (limit + 1) mod
+    best = [(limit + 1) * mod] * mod
+    # the extensions of a sum whose last part has index j: (i, parts[i],
+    # change of the key) for i >= j
+    steps = [(i, g, sign * (mod - g)) for i, g in enumerate(parts)]
+    later = [steps[j:] for j in range(len(parts) + 1)]
+    heap = [(0, 0, 0)]  # (s, sign * c, index of the last part)
     while heap:
-        s, key = heappop(heap)
-        prev = start[s % mod]
-        if prev >= 0:
-            q, steps = table[prev], (s - prev) // mod
-            if key >= sign * (q + steps):
-                continue
-            table[prev:s:mod] = ramp[q : q + steps]
-        else:
-            first = s
-        start[s % mod] = s
-        table[s] = sign * key
-        for g in parts:
+        s, key, j = heappop(heap)
+        r = s % mod
+        if key >= best[r]:
+            continue
+        best[r] = key
+        breaks[r].append((s, sign * key))
+        for i, g, step in later[j]:
             if s + g > limit:
                 break
-            heappush(heap, (s + g, key + sign))
-    for s in start:
-        if s >= 0:
-            q = table[s]
-            table[s::mod] = ramp[q : q + (limit - s) // mod + 1]
-    return table, first
+            heappush(heap, (s + g, key + step, i))
+    return breaks
 
 
-def _fill(gens, limit: int) -> tuple[array, array, int]:
-    """M(n) and m(n) over the sorted ``gens`` for n = 0..limit, both -1 where
-    n is no combination of them, and the largest such n (-1 if none)."""
+def _length(breaks, mod: int, n: int) -> int:
+    """The length of n read from its class's breakpoints, -1 below the first
+    (n < 0 too): at or past the last breakpoint from it, else by bisection."""
+    ramps = breaks[n % mod]
+    s, c = ramps[-1]
+    if n < s:
+        # (s, c) < (n + 1,) iff s <= n
+        i = bisect_left(ramps, (n + 1,))
+        if not i:
+            return -1
+        s, c = ramps[i - 1]
+    return (n + c) // mod
+
+
+def _table(breaks, mod: int, limit: int, ramp: array) -> array:
+    """The lengths for n = 0..limit, -1 where n is no combination, written
+    by one slice copy of ``ramp`` (``ramp[i]`` is i) per breakpoint."""
+    table = array("i", [-1]) * (limit + 1)
+    for ramps in breaks:
+        ends = [s for s, _ in ramps[1:]] + [limit + 1]
+        for (s, c), end in zip(ramps, ends):
+            q = (s + c) // mod
+            table[s:end:mod] = ramp[q : q + (end - s - 1) // mod + 1]
+    return table
+
+
+def _fill(gens, limit: int):
+    """The breakpoints of M (mod g_1) and of m (mod g_k) over the sorted
+    ``gens`` for n = 0..limit, and the largest n up to limit that is no
+    combination of them (-1 if none)."""
     g1 = gens[0]
-    # 32-bit entries; no length exceeds limit // g_1
-    ramp = array("i", range(limit // g1 + 2))
-    max_table, first = _extreme_lengths(g1, gens[1:], limit, ramp, -1)
-    min_table, _ = _extreme_lengths(gens[-1], gens[:-1], limit, ramp, 1)
+    longest = _breakpoints(g1, gens[1:], limit, -1)
+    shortest = _breakpoints(gens[-1], gens[:-1], limit, 1)
     # a class mod g_1 has its last gap one step below its first element, or
-    # at its last entry when no element reaches it up to limit (which only
-    # a wrong fill shows over a window, and the window check then catches)
-    tail = max_table[-g1:]
-    if -1 in tail:
-        return max_table, min_table, limit - tail[::-1].index(-1)
-    return max_table, min_table, max(first - g1, -1)  # -1 too when limit is 0
+    # at its last entry up to limit when it has none (which only a wrong
+    # fill shows over a window, and the window check then catches)
+    last = max(
+        ramps[0][0] if ramps else limit + 1 + (r - limit - 1) % g1
+        for r, ramps in enumerate(longest)
+    )
+    return longest, shortest, last - g1
 
 
 class WindowTables:
-    """M(n), m(n) and the Frobenius number of one monoid, over one window.
+    """M(n), m(n) and the Frobenius number of one monoid, from breakpoints.
 
-    ``max_table[n]`` is M(n) and ``min_table[n]`` is m(n) for
-    0 <= n <= limit = (g_k - 1) g_{k-1}, both -1 outside the monoid.  Past
-    the window the recurrences M(n) = M(n - g_1) + 1 (for n > (g_1 - 1) g_k)
-    and m(n) = m(n - g_k) + 1 (for n > limit) answer by stepping back into
-    it.  One window serves both: g_{k-1} >= g_1 gives (g_k - 1) g_{k-1} >=
-    (g_k - 1) g_1 >= (g_1 - 1) g_k.  Both tables are written by slice
-    copies from the breakpoints of M within each class mod g_1 and of m
-    within each class mod g_k, so a fill costs one pass over the entries
-    plus a heap step per breakpoint.  The tables are shared through
-    :func:`window_tables` and must not be written to.
+    Past the window limit = (g_k - 1) g_{k-1} the recurrences M(n) =
+    M(n - g_1) + 1 (for n > (g_1 - 1) g_k) and m(n) = m(n - g_k) + 1 (for
+    n > limit) hold; one window serves both, since g_{k-1} >= g_1 gives
+    (g_k - 1) g_{k-1} >= (g_k - 1) g_1 >= (g_1 - 1) g_k.  So within each
+    class mod g_1, M is a ramp, rising by one per step of g_1, that
+    restarts at finitely many breakpoints up to limit, and likewise m mod
+    g_k.  The constructor finds both sets (``max_breaks`` mod g_1 and
+    ``min_breaks`` mod g_k, as _breakpoints returns them), at most limit + 1
+    breakpoints each, so the table budget bounds their memory; the first
+    breakpoint of each class mod g_1 is its Apery element.  A length query
+    reads its class's last breakpoint when n is at or past it, else
+    bisects that class's breakpoints.  The arrays over the window that the
+    row scans read are written from the same breakpoints on the first call
+    of :meth:`tables`.  The object is shared through :func:`window_tables`
+    and must not be written to.
     """
 
-    __slots__ = ("generators", "g1", "gk", "limit", "max_table", "min_table", "frobenius")
+    __slots__ = ("generators", "g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks", "_tables")
 
     def __init__(self, generators: tuple[int, ...]):
         g1, gk = generators[0], generators[-1]
@@ -230,36 +271,63 @@ class WindowTables:
                 f"{2 * (limit + 1)} entries, above the limit {TABLE_LIMIT}"
             )
         self.generators, self.g1, self.gk, self.limit = generators, g1, gk, limit
-        self.max_table, self.min_table, self.frobenius = _fill(generators, limit)
-        # A step back lands among the last g_k entries of the window.  When
-        # they hold no gap, they are g_k >= g_1 members in a row, which end
-        # every gap: the largest gap up to limit is the Frobenius number F
-        # and every step back lands on a member.  Schur's bound F <= (g_1 -
-        # 1)(g_k - 1) - 1 gives F + g_k <= g_1 (g_k - 1) <= limit, so only a
-        # wrong fill fails this check.
+        self.max_breaks, self.min_breaks, self.frobenius = _fill(generators, limit)
+        self._tables = None
+        # When the Frobenius number F lies below the last g_k entries of the
+        # window, those are g_k >= g_1 members in a row, so every class mod
+        # g_1 and mod g_k has a breakpoint up to limit and every query is
+        # answered from one.  Schur's bound F <= (g_1 - 1)(g_k - 1) - 1
+        # gives F + g_k <= g_1 (g_k - 1) <= limit, so only a wrong fill
+        # fails this check.
         if self.frobenius + gk > limit:
             raise InternalInconsistency(f"membership gap inside the window of {generators}")
 
+    # max_length and min_length repeat _length inline: a warm lookup is
+    # a fraction of a microsecond, and the call would add a third to it
+
     def max_length(self, n: int) -> int:
         """M(n), or -1 when ``n`` is outside the monoid."""
-        if n <= self.limit:
-            return self.max_table[n] if n >= 0 else -1
-        steps = (n - self.limit + self.g1 - 1) // self.g1
-        return self.max_table[n - steps * self.g1] + steps
+        g1 = self.g1
+        ramps = self.max_breaks[n % g1]
+        s, c = ramps[-1]
+        if n < s:
+            i = bisect_left(ramps, (n + 1,))
+            if not i:
+                return -1
+            s, c = ramps[i - 1]
+        return (n + c) // g1
 
     def min_length(self, n: int) -> int:
         """m(n), or -1 when ``n`` is outside the monoid."""
-        if n <= self.limit:
-            return self.min_table[n] if n >= 0 else -1
-        steps = (n - self.limit + self.gk - 1) // self.gk
-        return self.min_table[n - steps * self.gk] + steps
+        gk = self.gk
+        ramps = self.min_breaks[n % gk]
+        s, c = ramps[-1]
+        if n < s:
+            i = bisect_left(ramps, (n + 1,))
+            if not i:
+                return -1
+            s, c = ramps[i - 1]
+        return (n + c) // gk
+
+    def tables(self) -> tuple[array, array]:
+        """(max_table, min_table): M(n) and m(n) for 0 <= n <= limit, -1
+        outside the monoid, written from the breakpoints on the first call
+        and kept."""
+        if self._tables is None:
+            # 32-bit entries; no length exceeds limit // g_1
+            ramp = array("i", range(self.limit // self.g1 + 2))
+            self._tables = (
+                _table(self.max_breaks, self.g1, self.limit, ramp),
+                _table(self.min_breaks, self.gk, self.limit, ramp),
+            )
+        return self._tables
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending:
         inside the window by index, past it by the steps back that
         max_length and min_length take."""
         g1, gk, limit = self.g1, self.gk, self.limit
-        maxt, mint = self.max_table, self.min_table
+        maxt, mint = self.tables()
         for n in range(max(lo, 0), min(hi, limit) + 1):
             small = mint[n]
             if small >= 0:
@@ -293,7 +361,7 @@ def contains(S: NumericalMonoid, n) -> bool:
     if not isinstance(n, int) or n < 0:
         return False
     t = window_tables(S.generators)
-    return n > t.frobenius or t.min_length(n) >= 0
+    return n > t.frobenius or n >= t.max_breaks[n % t.g1][0][0]
 
 
 def frobenius(S: NumericalMonoid) -> int:

@@ -164,7 +164,8 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     witness lies in the hit start of smallest first class, as a scan of
     every class would find it.
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     witness = profile.finite_part.get(q)
     if witness is not None:
         return True, witness

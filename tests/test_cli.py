@@ -253,12 +253,15 @@ def test_verify_all_under_optimize_flag():
 
 
 def test_verify_negative_control(capsys, monkeypatch):
-    # corrupt one table entry: the core suite must notice and exit nonzero
+    # corrupt one breakpoint that length queries read, raising M by one on
+    # the first ramp of the class of 20 mod g_1: the core suite must notice
+    # and exit nonzero
     @functools.cache
     def corrupted(generators):
         t = WindowTables(generators)
-        if len(t.max_table) > 20:
-            t.max_table[20] = max(t.max_table[20] + 1, 1)
+        ramps = t.max_breaks[20 % t.g1]
+        s, c = ramps[0]
+        ramps[0] = s, c + t.g1
         return t
 
     monkeypatch.setattr(numelast.lengths, "window_tables", corrupted)

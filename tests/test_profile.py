@@ -159,6 +159,9 @@ def test_contains_elasticity_examples():
     assert contains_elasticity(prof, Fraction(5, 3)) == (True, 15)
     assert contains_elasticity(prof, Fraction(6, 5)) == (False, None)
     assert contains_elasticity(prof, 1) == (True, 3)
+    # an int or a float is converted exactly, like a Fraction
+    assert contains_elasticity(prof, 1.5) == contains_elasticity(prof, Fraction(3, 2))
+    assert contains_elasticity(prof, 1.5)[0]
     assert contains_elasticity(prof, Fraction(1, 2)) == (False, None)
     assert contains_elasticity(prof, Fraction(7, 3)) == (False, None)
 

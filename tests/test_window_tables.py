@@ -3,12 +3,14 @@
 Lengths are checked against the full-range recurrence oracle, which knows no
 windows, step-backs or caches; its agreement with the enumeration oracle is
 tested in test_factorizations.py.  Enumeration itself is too slow here: at
-five generators near 40 it takes seconds per monoid.  The window fill itself
-is checked entry by entry against the one-atom dynamic program
-``oracles.dp_fill``.
+five generators near 40 it takes seconds per monoid.  The breakpoints, the
+arrays written from them and every point query are checked against the
+one-atom dynamic program ``oracles.dp_fill``.
 """
 
 import random
+import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,7 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numelast
-from numelast import NotInMonoid, contains, frobenius, iter_lengths, max_length, min_length, new_monoid
+from numelast import (
+    NotInMonoid,
+    contains,
+    elasticity,
+    frobenius,
+    iter_lengths,
+    max_length,
+    min_length,
+    new_monoid,
+)
 from numelast.monoid import TABLE_CACHE_SIZE, WindowTables, window_tables
 
 import oracles
@@ -91,11 +102,11 @@ def test_tables_match_oracle_through_clear_and_eviction(raw):
 LADDER = ((7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203))
 
 
-def _raw_sets(count, seed):
-    """``count`` seeded raw sets of 2-6 integers below 120 with gcd 1."""
+def _raw_sets(count, seed, sizes=(2, 6), below=120):
+    """``count`` seeded raw sets of ``sizes`` integers below ``below`` with gcd 1."""
     rng = random.Random(seed)
     while count:
-        raw = [rng.randrange(2, 120) for _ in range(rng.randint(2, 6))]
+        raw = [rng.randrange(2, below) for _ in range(rng.randint(*sizes))]
         if gcd(*raw) == 1:
             count -= 1
             yield raw
@@ -109,16 +120,77 @@ def _assert_matches_dp(raw):
     S = new_monoid(raw)
     assert S.generators == tuple(g for g in gens if max_table[g] == 1)
     t = WindowTables(S.generators)
-    assert (t.max_table, t.min_table, t.frobenius) == oracles.dp_fill(S.generators, t.limit)
+    assert (*t.tables(), t.frobenius) == oracles.dp_fill(S.generators, t.limit)
     return S
 
 
 def test_fill_matches_dp_on_seeded_monoids():
-    sizes = {len(_assert_matches_dp(raw).generators) for raw in _raw_sets(300, seed=16)}
-    assert sizes == {2, 3, 4, 5, 6}
+    raws = [*_raw_sets(300, seed=16), *_raw_sets(12, seed=19, sizes=(7, 7), below=200)]
+    sizes = {len(_assert_matches_dp(raw).generators) for raw in raws}
+    assert sizes == {2, 3, 4, 5, 6, 7}
 
 
 @pytest.mark.parametrize("raw", [[1], [1, 2], [3, 1, 7], [1, 5, 6, 119], *LADDER])
 def test_fill_matches_dp_on_fixed_sets(raw):
     # raw sets containing 1 normalize to <1>, whose window is the one entry 0
     _assert_matches_dp(raw)
+
+
+def _assert_point_queries_match_dp(S, rng):
+    """frobenius, contains, max_length, min_length and elasticity of ``S``
+    against the DP at every n up to the window, and past it, up to 10**12,
+    against the DP's last entries stepped forward by the recurrences."""
+    gens = S.generators
+    g1, gk = gens[0], gens[-1]
+    window = (gk - 1) * gens[-2] if len(gens) > 1 else 0
+    maxs, mins, gap = oracles.dp_fill(gens, window)
+    assert frobenius(S) == gap
+    for n in range(window + 1):
+        big, small = maxs[n], mins[n]
+        assert contains(S, n) == (big >= 0)
+        if big >= 0:
+            ratio = Fraction(big, small) if n else 1
+            assert (max_length(S, n), min_length(S, n), elasticity(S, n)) == (big, small, ratio)
+        else:
+            with pytest.raises(NotInMonoid):
+                max_length(S, n)
+            with pytest.raises(NotInMonoid):
+                min_length(S, n)
+    past = [window + 1 + i for i in range(2 * gk)]
+    past += [rng.randrange(window + 1, 10 ** rng.randint(6, 12)) for _ in range(200)] + [10**12]
+    for n in past:
+        up = (n - window + g1 - 1) // g1
+        down = (n - window + gk - 1) // gk
+        big, small = maxs[n - up * g1] + up, mins[n - down * gk] + down
+        assert contains(S, n)
+        assert (max_length(S, n), min_length(S, n), elasticity(S, n)) == (big, small, Fraction(big, small))
+
+
+def test_point_queries_match_dp_on_seeded_monoids():
+    rng = random.Random(19)
+    numelast.clear_caches()
+    assert window_tables.cache_info().currsize == 0
+    seven = ([8, 9, 10, 11, 12, 13, 15], [14, 17, 20, 23, 26, 29, 32])
+    raws = [[1], *LADDER, *seven, *_raw_sets(40, seed=19, below=60)]
+    sizes = set()
+    for raw in raws:
+        S = new_monoid(raw)
+        sizes.add(len(S.generators))
+        _assert_point_queries_match_dp(S, rng)
+    assert sizes == {1, 2, 3, 4, 5, 6, 7}
+
+
+def test_point_queries_build_no_window_arrays():
+    # <501,777,1003> has a window of 778,555 entries: its two arrays of
+    # 32-bit lengths take 6.2 MB, its breakpoints (501 mod g_1, 2,496 mod
+    # g_k) and the heap of one pass far less
+    S = new_monoid([501, 777, 1003])
+    numelast.clear_caches()
+    tracemalloc.start()
+    try:
+        answers = frobenius(S), contains(S, 1000), max_length(S, 10**6), min_length(S, 5010)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert answers == (34802, False, 1992, 10)
+    assert peak < 1_000_000
