@@ -1,12 +1,13 @@
 """Factorization enumeration and length statistics over a numerical monoid.
 
 Maximal and minimal factorization lengths M(n) and m(n) are read from the
-monoid's :class:`~numelast.monoid.WindowTables`: tables filled once per
-monoid, from the points where each residue class's lengths change slope,
-over one window up to (g_k - 1) g_{k-1}, past which both recurrences
-M(n) = M(n - g_1) + 1 and m(n) = m(n - g_k) + 1 hold.
-Elements beyond the window are answered in O(1) by stepping back into it;
-the tables never grow.
+monoid's :class:`~numelast.monoid.WindowTables`: the points where each
+residue class's lengths restart their rise, found once per monoid.  A
+query reads one class's breakpoints, by a bisection or, at or past its
+last one, directly; there are none past the window (g_k - 1) g_{k-1},
+beyond which both recurrences M(n) = M(n - g_1) + 1 and
+m(n) = m(n - g_k) + 1 hold.  Only the row scan iter_lengths reads arrays
+over that window, written from the same breakpoints for its first row.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def elasticity(S: NumericalMonoid, n: int) -> Fraction:
 def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """(n, M(n), m(n)) as ints for every monoid element in [lo, hi], ascending.
 
-    The tables are built, or TableTooLarge raised, by this call, before the
-    first row is read.
+    The monoid's breakpoints are found, or TableTooLarge raised, by this
+    call; the arrays over the window are written from them when the first
+    row is read, once per cached monoid.
     """
     return window_tables(S.generators).rows(lo, hi)
 

@@ -1,18 +1,18 @@
-"""Numerical monoids: validated generating sets and their windowed length tables.
+"""Numerical monoids: validated generating sets and their length functions.
 
 A numerical monoid is a co-finite additive submonoid of the nonnegative
 integers, stored here by its minimal generating set g_1 < ... < g_k with
-gcd 1.  One :class:`WindowTables` object per monoid holds the maximal and
-minimal factorization lengths M(n) and m(n) over one window, up to where
-both of their recurrences have taken over, and the Frobenius number (the
-largest integer outside the monoid).  Each table is filled from its
-breakpoints, where the length stops rising by one per step within a
-residue class, found by one label-setting pass; the first breakpoints mod
-g_1 are the Apery set, which gives the Frobenius number.  Membership,
-the Frobenius number and every length query read that object, which is
-built once per generating set and kept in one bounded cache.  The
-constructor validates a generating set; new_monoid caps and normalizes it.
-"""
+gcd 1.  Within each residue class mod g_1 the maximal factorization length
+M(n) rises by one per step of g_1 and restarts at finitely many
+breakpoints, and so does the minimal length m(n) mod g_k.  One
+:class:`WindowTables` object per monoid holds those breakpoints, found by
+one label-setting pass per modulus, and the Frobenius number (the largest
+integer outside the monoid): the first breakpoints mod g_1 are the Apery
+set.  Membership, the Frobenius number and every length query read that
+object, which is built once per generating set and kept in one bounded
+cache; the arrays of M and m over one window are written from it only for
+the row scans.  The constructor validates a generating set; new_monoid
+caps and normalizes it."""
 
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ from .errors import (
 MAX_GENERATOR = 10**6
 
 #: Most table entries one monoid may take, 2 ((g_k - 1) g_{k-1} + 1) for its
-#: two tables over one window (4 bytes each); larger monoids raise
-#: TableTooLarge before allocating.
+#: two tables over one window (4 bytes each), which also bounds its
+#: breakpoints; larger monoids raise TableTooLarge before any work.
 TABLE_LIMIT = 10**7
 
 #: Monoids whose tables stay cached: a comparison reads two at a time, every
@@ -137,87 +137,87 @@ def new_monoid(raw) -> NumericalMonoid:
     g1, gk = gens[0], gens[-1]
     # only M(g) = 1 matters, so only the breakpoints of M up to g_k are found
     breaks = _breakpoints(g1, gens[1:], gk, -1)
-    return NumericalMonoid(tuple(g for g in gens if _length(breaks, g1, g) == 1))
+    return NumericalMonoid(tuple(g for g in gens if _longest(breaks, g1, g) == 1))
 
 
 def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int, int]]]:
     """Breakpoints of the longest (``sign`` -1) or shortest (+1)
     factorization lengths over ``mod`` and the other generators ``parts``
-    (ascending), for n = 0..limit: per class mod ``mod``, the pairs (s, c)
-    in increasing s, where the length of n is (n + c)/mod from the
+    (ascending), for n = 0..limit: per class mod ``mod``, the pairs (s, u)
+    in increasing s, where the length of n is (n + sign u)/mod from the
     breakpoint s up to the class's next one.  A class's first breakpoint is
     its least combination; below it n is none.
 
-    Write n = c' mod + s with s a sum of q parts.  That factorization has
-    length (n - w)/mod, with weight w = s - q mod = sum (g - mod) c_g, so
-    within a class mod ``mod`` the extreme length of n comes from the
-    extreme weight over the sums s <= n: the class's lengths are ramps,
-    rising by one per step of ``mod``, that restart where that weight
-    improves, with c = -w.  Those breakpoints are found by label setting:
-    sums pop from a heap in increasing s, the best weight first, and a sum
-    that does not improve its class starts no ramp and is not extended,
-    since every extension of it is beaten by the same extension of the sum
-    that beat it.
+    Write n = c mod + s with s a sum of q parts.  That factorization has
+    length q + c = (n - s + q mod)/mod, so within a class mod ``mod`` the
+    extreme length of n comes from the least u = sign (q mod - s) over the
+    sums s <= n of the class: u is the weight W = sum (g - g_1) c_g of M
+    (mod g_1, every part above it) or the weight V = sum (g_k - g) c_g of m
+    (mod g_k, every part below it).  So the class's lengths are ramps,
+    rising by one per step of ``mod``, that restart where u falls.  Those
+    breakpoints are found by label setting: sums pop from a heap in
+    increasing s, the least u first, and a sum that does not lower the u of
+    its class starts no ramp and is not extended, since every extension of
+    it is beaten by the same extension of the sum that beat it.
 
     Sums are extended in canonical order: a kept sum whose last part is
     ``parts[j]`` is extended only by the ``parts[i]`` with i >= j, and of
-    entries with equal sum and weight the smallest j pops first.  No
-    breakpoint is lost.  Let s be a breakpoint and j the least index such
-    that s has an optimal representation whose largest part is
-    ``parts[j]``.  Then s - parts[j] is a breakpoint too, and the rest of
-    that representation is optimal for it: if an earlier sum of its class
-    were as good, adding ``parts[j]`` to that sum would give an earlier sum
-    as good as s in the class of s.  By induction on s, the kept entry of
-    s - parts[j] carries an index at most j, so it pushes s with index j;
-    and an entry of s with the optimal weight carries the largest part of
-    an optimal representation of s, so no such entry has an index below j.
-    The kept entry of s therefore carries the least such j, as the
-    induction needs.
+    entries with equal s and u the smallest j pops first.  No breakpoint is
+    lost.  Let s be a breakpoint and j the least index such that s has an
+    optimal representation whose largest part is ``parts[j]``.  Then s -
+    parts[j] is a breakpoint too, and the rest of that representation is
+    optimal for it: if an earlier sum of its class had a u as low, adding
+    ``parts[j]`` to that sum would give an earlier sum with a u as low as
+    that of s in the class of s.  By induction on s, the kept entry of s -
+    parts[j] carries an index at most j, so it pushes s with index j; and
+    an entry of s with the least u carries the largest part of an optimal
+    representation of s, so no such entry has an index below j.  The kept
+    entry of s therefore carries the least such j, as the induction needs.
     """
     breaks: list[list[tuple[int, int]]] = [[] for _ in range(mod)]
-    # each class's best key so far; every key sign * c is below (limit + 1) mod
-    best = [(limit + 1) * mod] * mod
+    # each class's least u so far; every u is below (limit + 1) mod
+    least = [(limit + 1) * mod] * mod
     # the extensions of a sum whose last part has index j: (i, parts[i],
-    # change of the key) for i >= j
+    # change of u) for i >= j
     steps = [(i, g, sign * (mod - g)) for i, g in enumerate(parts)]
     later = [steps[j:] for j in range(len(parts) + 1)]
-    heap = [(0, 0, 0)]  # (s, sign * c, index of the last part)
+    heap = [(0, 0, 0)]  # (s, u, index of the last part)
     while heap:
-        s, key, j = heappop(heap)
+        s, u, j = heappop(heap)
         r = s % mod
-        if key >= best[r]:
+        if u >= least[r]:
             continue
-        best[r] = key
-        breaks[r].append((s, sign * key))
+        least[r] = u
+        breaks[r].append((s, u))
         for i, g, step in later[j]:
             if s + g > limit:
                 break
-            heappush(heap, (s + g, key + step, i))
+            heappush(heap, (s + g, u + step, i))
     return breaks
 
 
-def _length(breaks, mod: int, n: int) -> int:
-    """The length of n read from its class's breakpoints, -1 below the first
-    (n < 0 too): at or past the last breakpoint from it, else by bisection."""
-    ramps = breaks[n % mod]
-    s, c = ramps[-1]
+def _longest(breaks, g1: int, n: int) -> int:
+    """M(n) from the breakpoints of M mod ``g1``, -1 below the first of its
+    class (n < 0 too): at or past the last from it, else by bisection."""
+    ramps = breaks[n % g1]
+    s, w = ramps[-1]
     if n < s:
-        # (s, c) < (n + 1,) iff s <= n
+        # (s, w) < (n + 1,) iff s <= n
         i = bisect_left(ramps, (n + 1,))
         if not i:
             return -1
-        s, c = ramps[i - 1]
-    return (n + c) // mod
+        s, w = ramps[i - 1]
+    return (n - w) // g1
 
 
-def _table(breaks, mod: int, limit: int, ramp: array) -> array:
+def _table(breaks, mod: int, sign: int, limit: int, ramp: array) -> array:
     """The lengths for n = 0..limit, -1 where n is no combination, written
     by one slice copy of ``ramp`` (``ramp[i]`` is i) per breakpoint."""
     table = array("i", [-1]) * (limit + 1)
     for ramps in breaks:
         ends = [s for s, _ in ramps[1:]] + [limit + 1]
-        for (s, c), end in zip(ramps, ends):
-            q = (s + c) // mod
+        for (s, u), end in zip(ramps, ends):
+            q = (s + sign * u) // mod
             table[s:end:mod] = ramp[q : q + (end - s - 1) // mod + 1]
     return table
 
@@ -282,32 +282,32 @@ class WindowTables:
         if self.frobenius + gk > limit:
             raise InternalInconsistency(f"membership gap inside the window of {generators}")
 
-    # max_length and min_length repeat _length inline: a warm lookup is
-    # a fraction of a microsecond, and the call would add a third to it
+    # max_length repeats _longest, and min_length its mirror, inline: a
+    # warm lookup takes a fraction of a microsecond, and a call adds a third
 
     def max_length(self, n: int) -> int:
-        """M(n), or -1 when ``n`` is outside the monoid."""
+        """M(n) = (n - W)/g_1, or -1 when ``n`` is outside the monoid."""
         g1 = self.g1
         ramps = self.max_breaks[n % g1]
-        s, c = ramps[-1]
+        s, w = ramps[-1]
         if n < s:
             i = bisect_left(ramps, (n + 1,))
             if not i:
                 return -1
-            s, c = ramps[i - 1]
-        return (n + c) // g1
+            s, w = ramps[i - 1]
+        return (n - w) // g1
 
     def min_length(self, n: int) -> int:
-        """m(n), or -1 when ``n`` is outside the monoid."""
+        """m(n) = (n + V)/g_k, or -1 when ``n`` is outside the monoid."""
         gk = self.gk
         ramps = self.min_breaks[n % gk]
-        s, c = ramps[-1]
+        s, v = ramps[-1]
         if n < s:
             i = bisect_left(ramps, (n + 1,))
             if not i:
                 return -1
-            s, c = ramps[i - 1]
-        return (n + c) // gk
+            s, v = ramps[i - 1]
+        return (n + v) // gk
 
     def tables(self) -> tuple[array, array]:
         """(max_table, min_table): M(n) and m(n) for 0 <= n <= limit, -1
@@ -317,15 +317,15 @@ class WindowTables:
             # 32-bit entries; no length exceeds limit // g_1
             ramp = array("i", range(self.limit // self.g1 + 2))
             self._tables = (
-                _table(self.max_breaks, self.g1, self.limit, ramp),
-                _table(self.min_breaks, self.gk, self.limit, ramp),
+                _table(self.max_breaks, self.g1, -1, self.limit, ramp),
+                _table(self.min_breaks, self.gk, 1, self.limit, ramp),
             )
         return self._tables
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending:
-        inside the window by index, past it by the steps back that
-        max_length and min_length take."""
+        inside the window by index into :meth:`tables`, past it by the
+        recurrences, stepping back into the window."""
         g1, gk, limit = self.g1, self.gk, self.limit
         maxt, mint = self.tables()
         for n in range(max(lo, 0), min(hi, limit) + 1):
