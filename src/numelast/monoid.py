@@ -215,14 +215,15 @@ def _table(breaks, mod: int, sign: int, limit: int, ramp: array) -> array:
     by one slice copy of ``ramp`` (``ramp[i]`` is i) per breakpoint."""
     table = array("i", [-1]) * (limit + 1)
     for ramps in breaks:
-        ends = [s for s, _ in ramps[1:]] + [limit + 1]
-        for (s, u), end in zip(ramps, ends):
+        end = limit + 1  # each ramp runs up to the next breakpoint of its class
+        for s, u in reversed(ramps):
             q = (s + sign * u) // mod
             table[s:end:mod] = ramp[q : q + (end - s - 1) // mod + 1]
+            end = s
     return table
 
 
-def _fill(gens, limit: int):
+def _fill(gens, limit: int) -> tuple[list, list, int]:
     """The breakpoints of M (mod g_1) and of m (mod g_k) over the sorted
     ``gens`` for n = 0..limit, and the largest n up to limit that is no
     combination of them (-1 if none)."""
@@ -250,7 +251,7 @@ class WindowTables:
     restarts at finitely many breakpoints up to limit, and likewise m mod
     g_k.  The constructor finds both sets (``max_breaks`` mod g_1 and
     ``min_breaks`` mod g_k, as _breakpoints returns them), at most limit + 1
-    breakpoints each, so the table budget bounds their memory; the first
+    breakpoints each, so the table budget bounds their number; the first
     breakpoint of each class mod g_1 is its Apery element.  A length query
     reads its class's last breakpoint when n is at or past it, else
     bisects that class's breakpoints.  The arrays over the window that the
