@@ -44,6 +44,7 @@ from .lengths import (
     elasticity,
     factorizations,
     find_proper_subcollection,
+    iter_length_columns,
     iter_lengths,
     length_set,
     length_stats_range,
@@ -68,6 +69,7 @@ from .profile import (
     compare_built_profiles,
     compare_profiles,
     contains_elasticity,
+    profile_json_pieces,
     profile_to_json,
     sequence_value,
 )

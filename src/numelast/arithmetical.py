@@ -180,12 +180,24 @@ def recover_d(f, g) -> int:
 def three_minimal_elasticities(params: ArithmeticalParams) -> tuple[Fraction, Fraction, Fraction]:
     """The three smallest distinct elasticity values, in increasing order.
 
-    Candidates are taken from slices 0..2k+2, which always contain the three
-    smallest values; the first returned value is exactly 1.
+    Slices 0..2k+2 always contain the three smallest values, and the first
+    returned value is exactly 1.  Candidates are the top three rows x of
+    each of those slices.  That is enough: in slice (c, s) the value is
+    (N + x)/(D + x) with N - D = ckd + sd, which is positive in every slice
+    but (0, 0), so the value strictly falls as x grows there; and slice
+    (0, 0) only gives 1.  A value below a slice's top three rows would have
+    three distinct smaller values from that slice, all above 1.
     """
-    values = sorted(
-        {tuple_elasticity(params, t) for t in enumerate_tuples(params, 2 * params.k + 2)}
-    )
+    a, d, k = params.a, params.d, params.k
+    values = set()
+    for sl in range(2 * k + 3):
+        c, s = divmod(sl, k)
+        lo, hi = tuple_bounds(params, s)
+        num, den = c * (a + k * d) + s * d, c * a
+        for x in range(max(lo, hi - 2), hi + 1):
+            # the zero tuple (0, 0, 0) has value 1
+            values.add(Fraction(num + x, den + x) if den + x else Fraction(1))
+    values = sorted(values)
     if len(values) < 3 or values[0] != 1:
         raise InternalInconsistency(f"the first slices of {params} give no three values from 1")
     return values[0], values[1], values[2]

@@ -7,8 +7,9 @@ of two elasticity sets), profile (JSON tail decomposition), verify
 (one smoke check per suite of the running copy; the full battery is the
 test suite).
 
-stats and plot stream their output, so memory does not grow with the
-range; a reader that closes stdout early ends them quietly.
+stats, plot and profile stream their output, so memory does not grow with
+the range or the period; a reader that closes stdout early ends them
+quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
 progressions by the paper's theorem alone, with no length table.
@@ -31,8 +32,8 @@ from math import gcd
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError
 from .lengths import iter_lengths
-from .monoid import NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
-from .profile import T_MAX, build_profile, compare_profiles, profile_to_json
+from .monoid import WRITE_CHUNK, NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
+from .profile import T_MAX, build_profile, compare_profiles, profile_json_pieces
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
 
@@ -40,10 +41,6 @@ CSV_HEADER = "n,max_len,min_len,rho_num,rho_den"
 CSV_ROW = "%d,%d,%d,%d,%d\n"
 # equals json.dumps(row, separators=(",", ":")) for a row of ints
 JSON_ROW = '{"n":%d,"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
-
-#: pieces (rows, SVG points) per write: output streams in chunks of this
-#: many, so memory does not grow with the length of the range
-WRITE_CHUNK = 4096
 
 
 def _parse_generators(text: str) -> NumericalMonoid:
@@ -182,7 +179,7 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     profile = build_profile(_parse_generators(args.generators))
-    return _write_output((profile_to_json(profile) + "\n",), args.output)
+    return _write_output(chain(profile_json_pieces(profile), ("\n",)), args.output)
 
 
 def cmd_verify(args) -> int:

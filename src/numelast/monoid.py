@@ -8,18 +8,18 @@ breakpoints, and so does the minimal length m(n) mod g_k.  One
 :class:`WindowTables` object per monoid holds those breakpoints, found by
 one label-setting pass per modulus, and the Frobenius number (the largest
 integer outside the monoid): the first breakpoints mod g_1 are the Apery
-set.  Membership, the Frobenius number and every length query read that
-object, which is built once per generating set and kept in one bounded
-cache; the arrays of M and m over one window are written from it only for
-the row scans.  The constructor validates a generating set; new_monoid
-caps and normalizes it."""
+set.  Membership, the Frobenius number, every length query and every row scan
+read that object, which is built once per generating set and kept in one
+bounded cache; a row scan reads columns of M and m written from it one
+chunk at a time, and keeps none.  The constructor validates a generating
+set; new_monoid caps and normalizes it."""
 
 from __future__ import annotations
 
 import operator
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +42,11 @@ MAX_GENERATOR = 10**6
 #: two tables over one window (4 bytes each), which also bounds its
 #: breakpoints; larger monoids raise TableTooLarge before any work.
 TABLE_LIMIT = 10**7
+
+#: Least number of entries in one chunk of length columns, and of pieces in
+#: one write of the command line: rows and output stream in chunks of about
+#: this many, so memory does not grow with the length of a range
+WRITE_CHUNK = 4096
 
 #: Monoids whose tables stay cached: a comparison reads two at a time, every
 #: other caller one.
@@ -210,17 +215,47 @@ def _longest(breaks, g1: int, n: int) -> int:
     return (n - w) // g1
 
 
-def _table(breaks, mod: int, sign: int, limit: int, ramp: array) -> array:
-    """The lengths for n = 0..limit, -1 where n is no combination, written
-    by one slice copy of ``ramp`` (``ramp[i]`` is i) per breakpoint."""
-    table = array("i", [-1]) * (limit + 1)
+def _ramp(lo: int, hi: int):
+    """lo..hi in the smallest of array('i'), array('q') and list that holds
+    them, so a column of lengths takes 4 bytes an entry below 2**31 and
+    stays exact past 2**63."""
+    values = range(lo, hi + 1)
+    if hi < 2**31:
+        return array("i", values)
+    if hi < 2**63:
+        return array("q", values)
+    return list(values)
+
+
+def _column(breaks, mod: int, sign: int, top: int, a: int, b: int):
+    """The lengths (n + sign u)/mod for n = a..b-1 from the breakpoints of
+    one modulus, as _breakpoints returns them, -1 where n is no combination.
+    Each class takes one slice copy of a ramp per breakpoint in [a, b), and
+    one for the breakpoint in effect at a.  Every u lies in [0, ``top``],
+    so the lengths lie in [(a - top)/mod, (b - 1)/mod] for M (sign -1) and
+    in [a/mod, (b - 1 + top)/mod] for m: the ramp covers only those."""
+    if sign < 0:
+        least, most = max((a - top) // mod, 0), (b - 1) // mod
+    else:
+        least, most = a // mod, (b - 1 + top) // mod
+    ramp = _ramp(least, most)
+    column = ramp[:1]  # -1 in the ramp's type
+    column[0] = -1
+    column *= b - a
     for ramps in breaks:
-        end = limit + 1  # each ramp runs up to the next breakpoint of its class
+        end = b  # each ramp runs up to the next breakpoint of its class
         for s, u in reversed(ramps):
-            q = (s + sign * u) // mod
-            table[s:end:mod] = ramp[q : q + (end - s - 1) // mod + 1]
+            if s >= end:
+                continue
+            # the first n at or past a in the class of s
+            p = s if s >= a else a + (s - a) % mod
+            if p < end:
+                q = (p + sign * u) // mod - least
+                column[p - a : end - a : mod] = ramp[q : q + (end - 1 - p) // mod + 1]
+            if s <= a:
+                break
             end = s
-    return table
+    return column
 
 
 def _fill(gens, limit: int) -> tuple[list, list, int]:
@@ -254,13 +289,13 @@ class WindowTables:
     breakpoints each, so the table budget bounds their number; the first
     breakpoint of each class mod g_1 is its Apery element.  A length query
     reads its class's last breakpoint when n is at or past it, else
-    bisects that class's breakpoints.  The arrays over the window that the
-    row scans read are written from the same breakpoints on the first call
-    of :meth:`tables`.  The object is shared through :func:`window_tables`
-    and must not be written to.
+    bisects that class's breakpoints.  A row scan reads :meth:`columns`,
+    written from the same breakpoints one chunk at a time and not kept.
+    The object is shared through :func:`window_tables` and must not be
+    written to.
     """
 
-    __slots__ = ("generators", "g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks", "_tables")
+    __slots__ = ("generators", "g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks")
 
     def __init__(self, generators: tuple[int, ...]):
         g1, gk = generators[0], generators[-1]
@@ -273,7 +308,6 @@ class WindowTables:
             )
         self.generators, self.g1, self.gk, self.limit = generators, g1, gk, limit
         self.max_breaks, self.min_breaks, self.frobenius = _fill(generators, limit)
-        self._tables = None
         # When the Frobenius number F lies below the last g_k entries of the
         # window, those are g_k >= g_1 members in a row, so every class mod
         # g_1 and mod g_k has a breakpoint up to limit and every query is
@@ -310,44 +344,37 @@ class WindowTables:
             s, v = ramps[i - 1]
         return (n + v) // gk
 
-    def tables(self) -> tuple[array, array]:
-        """(max_table, min_table): M(n) and m(n) for 0 <= n <= limit, -1
-        outside the monoid, written from the breakpoints on the first call
-        and kept."""
-        if self._tables is None:
-            # 32-bit entries; no length exceeds limit // g_1
-            ramp = array("i", range(self.limit // self.g1 + 2))
-            self._tables = (
-                _table(self.max_breaks, self.g1, -1, self.limit, ramp),
-                _table(self.min_breaks, self.gk, 1, self.limit, ramp),
-            )
-        return self._tables
+    def columns(self, lo: int, hi: int) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+        """(start, M column, m column) for n in [max(lo, 0), hi], in
+        consecutive chunks: entry i of each column is the length of
+        start + i, -1 outside the monoid.  A chunk holds a multiple of g_k
+        and at least WRITE_CHUNK entries (the last one fewer), and its
+        columns are written by _column when it is reached, so memory
+        follows the chunk, not the range."""
+        g1, gk = self.g1, self.gk
+        # at least 64 entries per class mod g_k (and so mod g_1) in a chunk,
+        # to spread each class's slice copies over many rows
+        size = -(-max(WRITE_CHUNK, 64 * gk) // gk) * gk
+        # u only falls within a class, so its first breakpoint has the largest
+        wtop = max(ramps[0][1] for ramps in self.max_breaks)
+        vtop = max(ramps[0][1] for ramps in self.min_breaks)
+        for a in range(max(lo, 0), hi + 1, size):
+            b = min(a + size, hi + 1)
+            big = _column(self.max_breaks, g1, -1, wtop, a, b)
+            yield a, big, _column(self.min_breaks, gk, 1, vtop, a, b)
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-        """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending:
-        inside the window by index into :meth:`tables`, past it by the
-        recurrences, stepping back into the window."""
-        g1, gk, limit = self.g1, self.gk, self.limit
-        maxt, mint = self.tables()
-        for n in range(max(lo, 0), min(hi, limit) + 1):
-            small = mint[n]
-            if small >= 0:
-                yield n, maxt[n], small
-        # past the window, which clears the Frobenius number: n steps back to
-        # i = n - up g_1 and j = n - down g_k among the window's last entries,
-        # and each count of steps grows by one where its index wraps
-        n = max(lo, limit + 1)
-        up = (n - limit + g1 - 1) // g1
-        down = (n - limit + gk - 1) // gk
-        i, j = n - up * g1, n - down * gk
-        for n in range(n, hi + 1):
-            yield n, maxt[i] + up, mint[j] + down
-            i += 1
-            if i > limit:
-                i, up = i - g1, up + 1
-            j += 1
-            if j > limit:
-                j, down = j - gk, down + 1
+        """(n, M(n), m(n)) for every monoid element in [lo, hi], ascending,
+        read from :meth:`columns`."""
+        gap = self.frobenius
+        for start, big, small in self.columns(lo, hi):
+            rows = zip(range(start, start + len(big)), big, small)
+            if start > gap:
+                yield from rows
+            else:
+                for row in rows:
+                    if row[2] >= 0:
+                        yield row
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

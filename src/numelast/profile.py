@@ -25,13 +25,17 @@ that can hold it (see contains_elasticity).
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, SingleGenerator, TableTooLarge
-from .lengths import iter_lengths, max_length, min_length
+from .lengths import iter_length_columns, iter_lengths, max_length, min_length
 from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
@@ -112,31 +116,51 @@ def _key_scale(S: NumericalMonoid, t_max: int) -> int:
     return D * D + 1
 
 
+def _first_codes(S: NumericalMonoid, lo: int, hi: int, C: int) -> dict[int, int]:
+    """M(n) C + m(n) -> the smallest n in [lo, hi) with those lengths, in
+    order of first appearance, for the monoid elements n; ``C`` is above
+    every m(n), so the code is exact."""
+    first: dict[int, int] = {}
+    for start, big, small in iter_length_columns(S, lo, hi - 1):
+        codes = map(add, map(mul, big, repeat(C)), small)
+        deque(map(first.setdefault, codes, range(start, start + len(big))), maxlen=0)
+    first.pop(-C - 1, None)  # the code of every n outside the monoid
+    return first
+
+
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     """Finite part, tail starts and tail lines of the monoid's elasticity set.
-    The rows come in increasing n, so the first row of a value is its
-    smallest witness, and a line lists its starts in ``starts`` order."""
+
+    Reads the length columns over [1, base) and [base, base + period) and
+    keeps the first n of each distinct pair (M, m) in each, as one int code;
+    values, starts and lines are then computed once per pair.  Window pairs
+    come first and each range's pairs in increasing n, so the first pair of
+    a value gives its smallest witness, and a line lists its starts in
+    ``starts`` order."""
     if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
+    C = base + period  # m(n) <= n/g_1 < C for every n read
+    window, tail = _first_codes(S, 1, base, C), _first_codes(S, base, C, C)
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
-    for n, big, small in iter_lengths(S, 1, base - 1):
+    for code, n in window.items():
+        big, small = divmod(code, C)
         key = big * K // small
         if key not in finite:
             finite[key] = big, small, n
     starts: dict[tuple[int, int], int] = {}
     lines: dict[int, tuple[int, ...]] = {}
-    for n, big, small in iter_lengths(S, base, base + period - 1):
+    for code, n in tail.items():
+        big, small = divmod(code, C)
         key = big * K // small
         if key not in finite:
             finite[key] = big, small, n
-        if (big, small) not in starts:
-            starts[big, small] = n - base
-            J = gk * small - g1 * big
-            if J:
-                lines[J] = lines.get(J, ()) + (small, n - base)
+        starts[big, small] = n - base
+        J = gk * small - g1 * big
+        if J:
+            lines[J] = lines.get(J, ()) + (small, n - base)
     finite_part = {Fraction(big, small): n for _, (big, small, n) in sorted(finite.items())}
     return ElasticityProfile(S, base, period, finite_part, starts, dict(sorted(lines.items())))
 
@@ -336,13 +360,22 @@ def compare_built_profiles(
     return ComparisonVerdict("unknown", None, t_max, None, "unaligned")
 
 
-def profile_to_json(profile: ElasticityProfile) -> str:
-    """Compact JSON: generators, base, period, the finite part as [num,den,witness]
-    in increasing value, and one [n,M,m] row per class, from the length tables."""
+def profile_json_pieces(profile: ElasticityProfile) -> Iterator[str]:
+    """Compact JSON, in pieces: the generators, base, period and the finite
+    part as [num,den,witness] in increasing value, as one piece; then one
+    [n,M,m] piece per class, read from the length columns; then the close."""
     S, base, end = profile.monoid, profile.base, profile.base + profile.period - 1
     row = "[%d,%d,%d]"
     finite = ",".join(row % (*v.as_integer_ratio(), w) for v, w in profile.finite_part.items())
-    rows = ",".join(row % r for r in iter_lengths(S, base, end))
-    return '{"generators":[%s],"base":%d,"period":%d,"finite_part":[%s],"sequences":[%s]}' % (
-        ",".join(map(str, S.generators)), base, profile.period, finite, rows
+    yield '{"generators":[%s],"base":%d,"period":%d,"finite_part":[%s],"sequences":[' % (
+        ",".join(map(str, S.generators)), base, profile.period, finite
     )
+    rows = iter_lengths(S, base, end)  # every class: base lies past the Frobenius number
+    yield row % next(rows)
+    yield from map(("," + row).__mod__, rows)
+    yield "]}"
+
+
+def profile_to_json(profile: ElasticityProfile) -> str:
+    """The whole compact JSON of :func:`profile_json_pieces`, as one string."""
+    return "".join(profile_json_pieces(profile))

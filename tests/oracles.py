@@ -8,6 +8,7 @@ smallest generator) with numpy.
 
 from array import array
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -170,3 +171,40 @@ def start_scan_membership(profile, q):
         if rem == 0 and t >= 0:
             return True, profile.base + i + t * profile.period
     return False, None
+
+
+def row_scan_profile(gens, rows):
+    """(finite, starts, lines) of the profile of the monoid with minimal
+    generators ``gens``, by one pass over ``rows``, its (n, M(n), m(n)) for
+    every element 1 <= n < base + period in increasing n, base = g_{k-1} g_k
+    and period = g_1 g_k.  ``finite`` lists (num, den, n) for each value
+    M/m = num/den in lowest terms, n its smallest element, in increasing
+    value; ``starts`` maps each pair (M, m) of an n >= base to its first
+    class n - base, in order of first appearance; and ``lines`` maps each
+    J = g_k m - g_1 M > 0 of a start to the flat tuple (m, first class, ...)
+    of its starts in that order, in increasing J."""
+    g1, gk = gens[0], gens[-1]
+    base, end = gens[-2] * gk, (gens[-2] + g1) * gk
+    below, starts = {}, {}  # (M, m) -> its first n, below base and from base
+    for n, big, small in rows:
+        seen = starts if n >= base else below
+        if (big, small) not in seen:
+            seen[big, small] = n
+    finite = {}
+    for (big, small), n in [*below.items(), *starts.items()]:
+        d = gcd(big, small)
+        value = big // d, small // d
+        finite[value] = min(n, finite.get(value, n))
+    # m <= M <= n/g_1 < end: two values with denominators below end differ
+    # by more than 1/end^2, so floor(v end^2) orders them exactly
+    scale = end * end
+    finite = sorted(
+        ((num, den, n) for (num, den), n in finite.items()), key=lambda v: v[0] * scale // v[1]
+    )
+    lines = {}
+    for (big, small), n in starts.items():
+        J = gk * small - g1 * big
+        if J:
+            lines[J] = lines.get(J, ()) + (small, n - base)
+    starts = {pair: n - base for pair, n in starts.items()}
+    return finite, starts, dict(sorted(lines.items()))

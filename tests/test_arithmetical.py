@@ -212,6 +212,29 @@ def test_three_minimal_against_bruteforce():
         assert three_minimal_elasticities(params) == oracles.three_smallest_distinct(values)
 
 
+def test_three_minimal_matches_full_enumeration_on_grid():
+    # every row of slices 0..2k+2, keyed by floor(v K): a value there has a
+    # denominator ca + x <= 4a + 3a + d, so K = (7a + d)^2 + 1 keys the
+    # values exactly and in order
+    count = 0
+    for a in range(2, 40):
+        for d in range(1, 12):
+            if gcd(a, d) != 1:
+                continue
+            K = (7 * a + d) ** 2 + 1
+            for k in range(1, a):
+                keys = {K}  # the zero tuple, value 1
+                for sl in range(2 * k + 3):
+                    c, s = divmod(sl, k)
+                    num, den = c * (a + k * d) + s * d, c * a
+                    lo, hi = -(-s * a // k), (s * a + 2 * (a - 1)) // k + d
+                    keys.update((num + x) * K // (den + x) for x in range(lo, hi + 1) if den + x)
+                trio = three_minimal_elasticities(ArithmeticalParams(a, d, k))
+                assert [v.numerator * K // v.denominator for v in trio] == sorted(keys)[:3]
+                count += 1
+    assert count == 5314
+
+
 def test_three_minimal_check_survives_optimize_flag():
     # under python -O a candidate set without three values must still raise
     # the typed error, not slip through a stripped assert
@@ -219,7 +242,7 @@ def test_three_minimal_check_survives_optimize_flag():
         "import sys\n"
         "import numelast.arithmetical as ar\n"
         "from numelast import ArithmeticalParams, InternalInconsistency\n"
-        "ar.enumerate_tuples = lambda params, max_slice: []\n"
+        "ar.tuple_bounds = lambda params, s: (1, 0)\n"
         "try:\n"
         "    ar.three_minimal_elasticities(ArithmeticalParams(7, 5, 3))\n"
         "except InternalInconsistency:\n"

@@ -202,12 +202,20 @@ def test_compare_output_lines(capsys, gens1, gens2, lines):
     assert out.splitlines() == lines
 
 
-def test_profile_subcommand(capsys):
+def test_profile_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "profile", "3,5")
     assert code == 0
     doc = json.loads(out)
     assert doc["base"] == 15 and doc["period"] == 15
     assert len(doc["sequences"]) == 15
+    # streamed in pieces, to stdout or a file, it is the library's document
+    target = tmp_path / "profile.json"
+    for gens in ("3,5", "101,157,203"):
+        S = numelast.new_monoid(map(int, gens.split(",")))
+        expected = numelast.profile_to_json(numelast.build_profile(S)) + "\n"
+        assert run(capsys, "profile", gens) == (0, expected, "")
+        assert run(capsys, "profile", gens, "--output", str(target)) == (0, "", "")
+        assert target.read_text() == expected
 
 
 def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
@@ -434,6 +442,7 @@ def test_closed_stdout_exits_0():
         ["stats", "101,157,203"],
         ["stats", "101,157,203", "--format", "json"],
         ["plot", "101,157,203"],
+        ["profile", "101,157,203"],
     )
     procs = [
         subprocess.Popen([sys.executable, "-m", "numelast", *args], env=env,

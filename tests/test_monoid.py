@@ -18,6 +18,7 @@ from numelast import (
     contains,
     detect_arithmetical,
     frobenius,
+    iter_length_columns,
     iter_lengths,
     max_elasticity,
     new_monoid,
@@ -79,6 +80,8 @@ def test_table_budget():
         frobenius(S)
     with pytest.raises(TableTooLarge):
         iter_lengths(S, 0, 1)  # on the call, before any row is read
+    with pytest.raises(TableTooLarge):
+        iter_length_columns(S, 0, 1)  # likewise before any column is written
     assert time.perf_counter() - start < 1.0  # refused before any table is built
     # the largest monoid the benchmark and the ROADMAP ladder use fits: two
     # tables of (g_k - 1) g_{k-1} + 1 entries, 1557110 in all

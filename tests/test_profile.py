@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -24,6 +25,7 @@ from numelast import (
     max_length,
     min_length,
     new_monoid,
+    profile_json_pieces,
     profile_to_json,
     sequence_value,
 )
@@ -44,6 +46,25 @@ def test_build_profile_shape():
     assert (n0, max_length(S35, n0), min_length(S35, n0)) == (18, 6, 4)
     assert sequence_value(prof, 3, 1) == Fraction(11, 7)
     assert elasticity(S35, 33) == Fraction(11, 7)
+
+
+def test_build_profile_matches_row_scan_oracle():
+    # the command-line ladder and 300 seeded monoids of 2 to 6 generators
+    # below 150; item order counts, as finite_part, starts and lines promise it
+    rng = random.Random(20)
+    monoids = [new_monoid(gens) for gens in ((7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203))]
+    while len(monoids) < 303:
+        raw = [rng.randrange(2, 150) for _ in range(rng.randint(2, 6))]
+        if gcd(*raw) == 1 and len(new_monoid(raw).generators) > 1:
+            monoids.append(new_monoid(raw))
+    for S in monoids:
+        prof = build_profile(S)
+        rows = iter_lengths(S, 1, prof.base + prof.period - 1)
+        finite, starts, lines = oracles.row_scan_profile(S.generators, rows)
+        assert [(*v.as_integer_ratio(), w) for v, w in prof.finite_part.items()] == finite, S
+        assert list(prof.starts.items()) == list(starts.items()), S
+        assert list(prof.lines.items()) == list(lines.items()), S
+    assert {len(S.generators) for S in monoids} == {2, 3, 4, 5, 6}
 
 
 def test_profile_rejects_single_generator():
@@ -324,6 +345,18 @@ def test_profile_json_golden():
     ]:
         text = profile_to_json(build_profile(new_monoid(gens)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, gens
+
+
+def test_profile_json_pieces():
+    # the header with the finite part, one piece per class, then the close
+    prof = build_profile(new_monoid([2, 3]))
+    assert list(profile_json_pieces(prof)) == [
+        '{"generators":[2,3],"base":6,"period":6,'
+        '"finite_part":[[1,1,2],[5,4,10],[4,3,8],[3,2,6]],"sequences":[',
+        "[6,3,2]", ",[7,3,3]", ",[8,4,3]", ",[9,4,3]", ",[10,5,4]", ",[11,5,4]", "]}",
+    ]
+    prof = build_profile(new_monoid([101, 157, 203]))
+    assert sum(1 for _ in profile_json_pieces(prof)) == prof.period + 2
 
 
 def test_profile_stored_at_its_true_size():

@@ -4,13 +4,15 @@ Lengths are checked against the full-range recurrence oracle, which knows no
 windows, step-backs or caches; its agreement with the enumeration oracle is
 tested in test_factorizations.py.  Enumeration itself is too slow here: at
 five generators near 40 it takes seconds per monoid.  The breakpoints, the
-arrays written from them and every point query are checked against the
-one-atom dynamic program ``oracles.dp_fill``.
+length columns written from them and every point query are checked against
+the one-atom dynamic program ``oracles.dp_fill``.
 """
 
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
+from itertools import chain, count
 from math import gcd
 
 import pytest
@@ -23,12 +25,13 @@ from numelast import (
     contains,
     elasticity,
     frobenius,
+    iter_length_columns,
     iter_lengths,
     max_length,
     min_length,
     new_monoid,
 )
-from numelast.monoid import TABLE_CACHE_SIZE, WindowTables, window_tables
+from numelast.monoid import TABLE_CACHE_SIZE, WRITE_CHUNK, WindowTables, window_tables
 
 import oracles
 
@@ -98,6 +101,42 @@ def test_tables_match_oracle_through_clear_and_eviction(raw):
     assert _answers(S, limit) == expected
 
 
+def _stepped(maxs, mins, window, g1, gk, n):
+    """M(n) and m(n), -1 for a gap, from the oracle's arrays up to past
+    ``window``: beyond their end, by stepping back into the window."""
+    if n < len(maxs):
+        return (maxs[n], mins[n]) if maxs[n] >= 0 else (-1, -1)
+    up = (n - window + g1 - 1) // g1
+    down = (n - window + gk - 1) // gk
+    return maxs[n - up * g1] + up, mins[n - down * gk] + down
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(raw_sets, st.data())
+def test_rows_and_columns_match_recurrences_on_ranges(raw, data):
+    # ranges from 0, the Frobenius number, the window end, chunk boundaries
+    # and 10**20, of lengths up to three chunks, empty and negative ones too
+    S = new_monoid(raw)
+    gens = S.generators
+    g1, gk = gens[0], gens[-1]
+    window = (gk - 1) * gens[-2] if len(gens) > 1 else 0
+    size = len(next(iter_length_columns(S, 0, 10**9))[1])
+    assert size >= WRITE_CHUNK and size % gk == 0
+    maxs, mins = oracles.recurrence_length_arrays(gens, window + 4 * size)
+    anchor = data.draw(st.sampled_from(
+        [0, frobenius(S), window, size, 2 * size, window + size, 10**20, 3 * 10**20 + 7]
+    ))
+    lo = anchor + data.draw(st.integers(-2 * gk, 2 * gk))
+    hi = lo + data.draw(st.sampled_from([-5, -1, 0, 1, size - 1, size, size + 1, 3 * size]))
+    expected = [(n, *_stepped(maxs, mins, window, g1, gk, n)) for n in range(max(lo, 0), hi + 1)]
+    assert list(iter_lengths(S, lo, hi)) == [row for row in expected if row[2] >= 0]
+    chunks = list(iter_length_columns(S, lo, hi))
+    assert [start for start, _, _ in chunks] == list(range(max(lo, 0), hi + 1, size))
+    assert all(len(big) == len(small) for _, big, small in chunks)
+    columns = [(n, M, m) for start, big, small in chunks for n, M, m in zip(count(start), big, small)]
+    assert columns == expected
+
+
 # the monoids of the command-line ladder the benchmark runs
 LADDER = ((7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203))
 
@@ -120,7 +159,9 @@ def _assert_matches_dp(raw):
     S = new_monoid(raw)
     assert S.generators == tuple(g for g in gens if max_table[g] == 1)
     t = WindowTables(S.generators)
-    assert (*t.tables(), t.frobenius) == oracles.dp_fill(S.generators, t.limit)
+    columns = list(t.columns(0, t.limit))
+    joined = tuple(array("i", chain.from_iterable(c[i] for c in columns)) for i in (1, 2))
+    assert (*joined, t.frobenius) == oracles.dp_fill(S.generators, t.limit)
     return S
 
 
