@@ -352,9 +352,12 @@ class WindowTables:
         columns are written by _column when it is reached, so memory
         follows the chunk, not the range."""
         g1, gk = self.g1, self.gk
-        # at least 64 entries per class mod g_k (and so mod g_1) in a chunk,
-        # to spread each class's slice copies over many rows
-        size = -(-max(WRITE_CHUNK, 64 * gk) // gk) * gk
+        # 64 entries per class mod g_k (and so mod g_1) spread each class's
+        # slice copies over many rows; no more than the window's entries keep
+        # a chunk's columns within the memory of two arrays over the window
+        # (<3, 10**6 + 1> has 64 g_k = 6.4e7 entries, but a window of 3e6)
+        size = max(WRITE_CHUNK, min(64 * gk, self.limit + 1))
+        size = -(-size // gk) * gk
         # u only falls within a class, so its first breakpoint has the largest
         wtop = max(ramps[0][1] for ramps in self.max_breaks)
         vtop = max(ramps[0][1] for ramps in self.min_breaks)
