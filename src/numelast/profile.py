@@ -29,7 +29,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import add, mul
 
@@ -145,18 +145,13 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     window, tail = _first_codes(S, 1, base, C), _first_codes(S, base, C, C)
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
-    for code, n in window.items():
+    for code, n in chain(window.items(), tail.items()):
         big, small = divmod(code, C)
-        key = big * K // small
-        if key not in finite:
-            finite[key] = big, small, n
+        finite.setdefault(big * K // small, (big, small, n))
     starts: dict[tuple[int, int], int] = {}
     lines: dict[int, tuple[int, ...]] = {}
     for code, n in tail.items():
         big, small = divmod(code, C)
-        key = big * K // small
-        if key not in finite:
-            finite[key] = big, small, n
         starts[big, small] = n - base
         J = gk * small - g1 * big
         if J:
