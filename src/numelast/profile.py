@@ -142,7 +142,7 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
     C = base + period  # m(n) <= n/g_1 < C for every n read
-    window, tail = _first_codes(S, 1, base, C), _first_codes(S, base, C, C)
+    window, tail = _first_codes(S, 1, base, C), _first_codes(S, base, base + period, C)
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
     for code, n in chain(window.items(), tail.items()):
