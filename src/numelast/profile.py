@@ -12,15 +12,15 @@ A profile holds the finite part and an index of the distinct starts (M0, m0),
 each mapped to its first class; the monoid's length tables give any class's.
 Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so a certificate
-holds one entry per start, naming the same sequence a scan of every class
-would.  An alignment reaches target starts only through their index by a_num
-(see _align_sequences).
+holds one entry per start, naming the sequence a scan of every class would.
 
 With y = m0 + t g_1 and J = g_k m0 - g_1 M0, the value at step t is
 (g_k y - J)/(g_1 y): a tail is the ray y >= m0, y = m0 (mod g_1) on the line
 J, and J > 0 unless the tail is flat at the limit.  A profile also indexes
-its non-flat starts by line, so a membership query solves only the lines
-that can hold it (see contains_elasticity).
+its non-flat starts by line; by one rule, _lines_divisible_by, a membership
+query visits only the lines that can hold its value (see
+contains_elasticity), and an alignment only those a source line can join
+(see _align_sequences).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from math import gcd
 from operator import add, mul
 
@@ -170,6 +170,16 @@ def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
     return Fraction(max_length(S, n0) + t * S.gk, min_length(S, n0) + t * S.g1)
 
 
+def _lines_divisible_by(lines: dict[int, tuple[int, ...]], step: int) -> Iterator[int]:
+    """Each line J of ``lines`` that ``step`` divides, in increasing J: by
+    looking up the multiples of step up to the largest line, or by one pass
+    over every line when those multiples are more."""
+    top = next(reversed(lines), 0)
+    if top // step < len(lines):
+        return filter(lines.__contains__, range(step, top + 1, step))
+    return filterfalse(step.__rmod__, lines)  # step.__rmod__(J) is J % step
+
+
 def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None]:
     """Exact membership of ``q`` in the elasticity set, with a witness element.
 
@@ -178,10 +188,9 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     line J holds q iff u divides den J, that is iff J is a multiple of
     s = u/gcd(den, u), at y = den J/u; a start (m0, i) on it attains q iff
     m0 <= y and y = m0 (mod g_1), at step t = (y - m0)/g_1.  The query
-    visits the multiples of s up to the largest line, or every line when
-    those multiples are more, skipping each J that s does not divide.  The
-    witness lies in the hit start of smallest first class, as a scan of
-    every class would find it.
+    visits the lines that s divides, as _align_sequences does.  The witness
+    lies in the hit start of smallest first class, as a scan of every class
+    would find it.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
@@ -200,19 +209,9 @@ def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None
     if num < den or u <= 0:
         return False, None
     lines = profile.lines
-    step = u // gcd(den, u)
-    top = next(reversed(lines), 0)
-    # the multiples of step up to the largest line, or every line when those
-    # are fewer; a line J holds q only when step divides it
-    visit = range(step, top + 1, step) if top // step < len(lines) else lines
     best = None  # (first class, step t) of the hit start of smallest first class
-    for J in visit:
-        if J % step:
-            continue
-        line = lines.get(J)
-        if line is None:
-            continue
-        y = den * J // u
+    for J in _lines_divisible_by(lines, u // gcd(den, u)):
+        line, y = lines[J], den * J // u
         for k in range(0, len(line), 2):  # in starts order: the first hit is this line's best
             m0 = line[k]
             if m0 <= y and (y - m0) % g1 == 0:
@@ -230,49 +229,45 @@ def _align_sequences(
     """Affine alignment of each source start into the first target start
     that fits from some t0 <= t_max, or None, in ``starts`` order.
 
-    A sequence's alignment depends only on its start (M0, m0), so each
-    distinct source start is solved once.  A fit needs alpha D = a_num with
-    alpha >= 1, so the walk reads the index of target starts by a_num at
-    D, 2D, ... and keeps the fit of smallest target index, as a scan would.
+    Each distinct source start is solved once.  With equal limits, a ray on
+    source line J0 aligns with factor alpha into one on target line J1 only
+    when J1 g^2 = alpha g'^2 J0 (g = g_1, g' = g_1').  So the walk visits
+    the target lines that s = g'^2 J0 / gcd(g'^2 J0, g^2) divides, as
+    contains_elasticity does, and keeps the fit of smallest first class, as
+    a scan would.
     """
     G, g = src.monoid.gk, src.monoid.g1
     Gp, gp = dst.monoid.gk, dst.monoid.g1
-    by_slope: dict[int, list[tuple[int, int, int]]] = {}  # a_num -> targets, in starts order
-    for (M1, m1), j in dst.starts.items():
-        if M1 * gp != m1 * Gp:
-            by_slope.setdefault(M1 * g - G * m1, []).append((j, M1, m1))
-    lowest = min(by_slope)
     # always found: n = c g_1 g_k in the window has M(n) = n/g_1, m(n) = n/g_k
     constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
+    lines = dst.lines
     out: list[SequenceAlignment | None] = []
     for (M0, m0), i in src.starts.items():
-        if M0 * g == m0 * G:  # the whole tail is flat at the limit
+        J0 = G * m0 - g * M0
+        if not J0:  # the whole tail is flat at the limit
             out.append(SequenceAlignment(i, constant_target, 1, 0, 0))
             continue
-        # An alignment needs (M0 + tG)(m1 + (alpha t + beta) g') =
-        # (M1 + (alpha t + beta) G')(m0 + tg) as polynomials in t.  The only
-        # caller has checked equal limits, G g' = G' g, so the t^2
-        # coefficients agree and the beta terms of the t^1 coefficients
-        # cancel; what is left is alpha D = a_num (t^1) and beta D = b_num
-        # (t^0), which the exact quotients below solve.  D != 0: D g =
-        # g' (M0 g - G m0), and the sequence is not constant.  D < 0 and
-        # every a_num < 0, both tails below the limit, so alpha >= 1.
-        D = M0 * gp - Gp * m0
-        best = None
-        for a_num in range(D, lowest - 1, D):
-            alpha = a_num // D
-            for j, M1, m1 in by_slope.get(a_num, ()):
-                if best is not None and j >= best.target:
+        # The rays y = m0 + t g on J0 and y' = m1 + t' g' on J1 take equal
+        # values where J1 g y = J0 g' y', the limits being equal.  With t' =
+        # alpha t + beta that holds for every t iff alpha is as above and
+        # b_num = g m0 J1 - g' m1 J0 = beta g'^2 J0.
+        scaled = gp * gp * J0
+        best = None  # (target, alpha, beta, t0) of the fit of smallest first class
+        for J1 in _lines_divisible_by(lines, scaled // gcd(scaled, g * g)):
+            line, alpha = lines[J1], J1 * g * g // scaled
+            for k in range(0, len(line), 2):  # in starts order
+                m1, j = line[k], line[k + 1]
+                if best is not None and j >= best[0]:
                     break
-                b_num = M1 * m0 - M0 * m1
-                if b_num % D:
+                b_num = g * m0 * J1 - gp * m1 * J0
+                if b_num % scaled:
                     continue
-                beta = b_num // D
+                beta = b_num // scaled
                 t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
                 if t0 <= t_max:  # head values are cross-checked only up to t_max
-                    best = SequenceAlignment(i, j, alpha, beta, t0)
+                    best = j, alpha, beta, t0
                     break
-        out.append(best)
+        out.append(None if best is None else SequenceAlignment(i, *best))
     return out
 
 

@@ -10,13 +10,15 @@ The full oracle-backed battery lives in ``tests/``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import arithmetical as ar
 from . import monoid as mo
 from . import profile as pr
 from .lengths import (
     elasticity as _elasticity,
     factorizations as _factorizations,
-    length_stats_range as _length_stats_range,
+    iter_lengths as _iter_lengths,
     max_length as _max_length,
     min_length as _min_length,
 )
@@ -52,14 +54,14 @@ def check_profile_decomposition() -> bool:
     for gens in ((3, 5), (7, 12, 17, 22)):
         S = mo.new_monoid(gens)
         prof = pr.build_profile(S)
-        for st in _length_stats_range(S, 1, prof.base + 3 * prof.period):
-            if st.n < prof.base + prof.period:
-                found, witness = pr.contains_elasticity(prof, st.elasticity)
-                if not found or witness > st.n:
+        for n, big, small in _iter_lengths(S, 1, prof.base + 3 * prof.period):
+            if n < prof.base + prof.period:
+                found, witness = pr.contains_elasticity(prof, Fraction(big, small))
+                if not found or witness > n:
                     return False
             else:
-                t, idx = divmod(st.n - prof.base, prof.period)
-                if pr.sequence_value(prof, idx, t) != st.elasticity:
+                t, idx = divmod(n - prof.base, prof.period)
+                if pr.sequence_value(prof, idx, t) != Fraction(big, small):
                     return False
         # tail values past the finite part, solved on the tail lines
         for idx in range(0, prof.period, max(1, prof.period // 25)):

@@ -173,6 +173,49 @@ def start_scan_membership(profile, q):
     return False, None
 
 
+
+def slope_walk_alignment(src, dst, t_max):
+    """The alignment of each source start of ``src`` into ``dst``, two
+    profiles of equal limit, by the walk the library used before its line
+    index: the non-flat target starts keyed by a_num = M1 g - G m1, read at
+    a_num = D, 2D, ... down to the lowest key for each non-flat source start
+    (M0, m0), D = M0 g' - G' m0, keeping the fit of smallest target index.
+    It reads only the profiles' monoids and public ``starts``, not their
+    line index."""
+    from numelast import SequenceAlignment  # here: perfbench imports this module without numelast
+
+    G, g = src.monoid.gk, src.monoid.g1
+    Gp, gp = dst.monoid.gk, dst.monoid.g1
+    by_slope = {}  # a_num -> targets, in starts order
+    for (M1, m1), j in dst.starts.items():
+        if M1 * gp != m1 * Gp:
+            by_slope.setdefault(M1 * g - G * m1, []).append((j, M1, m1))
+    lowest = min(by_slope)
+    constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
+    out = []
+    for (M0, m0), i in src.starts.items():
+        if M0 * g == m0 * G:  # the whole tail is flat at the limit
+            out.append(SequenceAlignment(i, constant_target, 1, 0, 0))
+            continue
+        # alpha D = a_num and beta D = b_num; D < 0 and every a_num < 0
+        D = M0 * gp - Gp * m0
+        best = None
+        for a_num in range(D, lowest - 1, D):
+            alpha = a_num // D
+            for j, M1, m1 in by_slope.get(a_num, ()):
+                if best is not None and j >= best.target:
+                    break
+                b_num = M1 * m0 - M0 * m1
+                if b_num % D:
+                    continue
+                beta = b_num // D
+                t0 = 0 if beta >= 0 else (-beta + alpha - 1) // alpha
+                if t0 <= t_max:
+                    best = SequenceAlignment(i, j, alpha, beta, t0)
+                    break
+        out.append(best)
+    return out
+
 def row_scan_profile(gens, rows):
     """(finite, starts, lines) of the profile of the monoid with minimal
     generators ``gens``, by one pass over ``rows``, its (n, M(n), m(n)) for

@@ -33,6 +33,7 @@ from numelast import (
     min_length,
     new_monoid,
 )
+from numelast.profile import _align_sequences
 
 import oracles
 
@@ -170,24 +171,26 @@ def test_verdicts_match_reference_on_seeded_pairs():
     assert {"equal", "not_equal"} <= set(outcomes), outcomes
 
 
+FIXTURES = [
+    ((6, 10, 13, 14), (6, 11, 13, 14)),
+    ((14, 17, 20, 23, 26, 29, 32), (7, 10, 13, 16)),
+    ((3, 5), (3, 7)),
+    ((3, 5), (6, 7, 10)),
+    ((7, 12, 17, 22), (7, 12, 17, 22)),
+    ((4, 5, 6), (6, 7, 8, 9)),
+    ((6, 7, 8), (9, 10, 11, 12)),
+    # an alignment valid from t0 = 1: unknown at t_max 0, where the
+    # alignment skips it, and equal from t_max 3 on
+    ((4, 5, 7), (4, 6, 7)),
+    # a key bound without its t_max g_1 term lets 41/30 share its key
+    # with the tail value 149/109 of <9,13>: the witness turns into 33/29
+    ((9, 11, 12, 13), (9, 13)),
+]
+
+
 def test_verdicts_match_reference_on_fixtures():
-    fixtures = [
-        ((6, 10, 13, 14), (6, 11, 13, 14)),
-        ((14, 17, 20, 23, 26, 29, 32), (7, 10, 13, 16)),
-        ((3, 5), (3, 7)),
-        ((3, 5), (6, 7, 10)),
-        ((7, 12, 17, 22), (7, 12, 17, 22)),
-        ((4, 5, 6), (6, 7, 8, 9)),
-        ((6, 7, 8), (9, 10, 11, 12)),
-        # an alignment valid from t0 = 1: unknown at t_max 0, where the
-        # alignment skips it, and equal from t_max 3 on
-        ((4, 5, 7), (4, 6, 7)),
-        # a key bound without its t_max g_1 term lets 41/30 share its key
-        # with the tail value 149/109 of <9,13>: the witness turns into 33/29
-        ((9, 11, 12, 13), (9, 13)),
-    ]
     outcomes = set()
-    for gens1, gens2 in fixtures:
+    for gens1, gens2 in FIXTURES:
         S1, S2 = new_monoid(gens1), new_monoid(gens2)
         for t_max in (0, 3, T_MAX):
             verdict = compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
@@ -197,6 +200,31 @@ def test_verdicts_match_reference_on_fixtures():
             outcomes.add(verdict.outcome)
     assert outcomes == {"equal", "not_equal", "unknown"}
 
+
+def test_alignment_matches_slope_walk_oracle():
+    # every alignment list, None entries included, against the walk by
+    # a_num that the line index replaced, on same-limit pairs only: the
+    # alignment is run only once the limits agree
+    from test_tail_starts import _CountingLines  # that module imports this one
+
+    pairs = _same_limit_pairs(seed=20140912, count=48, scaled=12)
+    # and an alignment of alpha 2, beta -1 into <3,17>: t0 = 1 rounds -beta/alpha up
+    fixtures = [*FIXTURES, ((3, 10, 17), (3, 17))]
+    pairs += [(new_monoid(gens1), new_monoid(gens2)) for gens1, gens2 in fixtures]
+    visits = Counter()  # non-flat source starts by visit: walk, pass over every line
+    for S1, S2 in pairs:
+        p1, p2 = build_profile(S1), build_profile(S2)
+        if p1.limit != p2.limit:
+            continue
+        for src, dst in ((p1, p2), (p2, p1)):
+            for t_max in (0, 1, T_MAX):
+                lines = _CountingLines(dst.lines)  # one pass per start that visits every line
+                aligned = _align_sequences(src, replace(dst, lines=lines), t_max)
+                assert aligned == oracles.slope_walk_alignment(src, dst, t_max), (S1, S2, t_max)
+            non_flat = sum(len(line) // 2 for line in src.lines.values())
+            visits["pass"] += lines.passes
+            visits["walk"] += non_flat - lines.passes
+    assert visits["walk"] >= 1000 and visits["pass"] >= 100, visits
 
 def _generators(lo, hi):
     """lo, hi and up to three generators between them, gcd 1."""
