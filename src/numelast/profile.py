@@ -14,6 +14,12 @@ Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so a certificate
 holds one entry per start, naming the sequence a scan of every class would.
 
+The finite part is kept in integers: each value M/m, with the lengths of its
+smallest witness, under its exact key floor(M K / m), K = _key_scale(S, 0),
+in increasing key order.  A membership query looks up its own key and
+confirms the hit by cross-multiplying, so no Fraction is made; the Fraction
+view ``finite_part`` is built only when first read.
+
 With y = m0 + t g_1 and J = g_k m0 - g_1 M0, the value at step t is
 (g_k y - J)/(g_1 y): a tail is the ray y >= m0, y = m0 (mod g_1) on the line
 J, and J > 0 unless the tail is flat at the limit.  A profile also indexes
@@ -29,6 +35,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, filterfalse, repeat
 from math import gcd
 from operator import add, mul
@@ -46,8 +53,13 @@ T_MAX = 50
 class ElasticityProfile:
     """Finite part, tail start index and tail line index of one elasticity set.
 
-    Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0) and
-    m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.  ``lines``
+    ``finite`` maps the key floor(M K / m), K = ``key_scale``, of each value
+    M/m attained below base + period to (M, m, smallest witness), with the
+    lengths M and m of that witness, so M/m need not be reduced; the key is
+    exact, and its order is the order of the values.  ``finite_part`` is
+    the same map as value -> witness, its Fractions built on first read and
+    kept.  Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0)
+    and m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.  ``lines``
     maps each line J = g_k m0 - g_1 M0 > 0 of a non-flat start to the flat
     tuple (m0, first class, m0', first class', ...) of its starts, in
     ``starts`` order; flat starts (J = 0) have no line.
@@ -56,9 +68,16 @@ class ElasticityProfile:
     monoid: NumericalMonoid
     base: int
     period: int
-    finite_part: dict[Fraction, int]  # value -> smallest witness >= 1, in increasing value
+    finite: dict[int, tuple[int, int, int]]  # floor(M K / m) -> (M, m, smallest n >= 1), by key
+    key_scale: int  # K = _key_scale(monoid, 0)
     starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
     lines: dict[int, tuple[int, ...]]  # J -> (m0, first class, ...), in increasing J
+
+    @cached_property
+    def finite_part(self) -> dict[Fraction, int]:
+        """Value -> smallest witness >= 1, in increasing value: ``finite``
+        as Fractions, built on first read and kept."""
+        return {Fraction(big, small): n for big, small, n in self.finite.values()}
 
     @property
     def limit(self) -> Fraction:
@@ -156,8 +175,9 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
         J = gk * small - g1 * big
         if J:
             lines[J] = lines.get(J, ()) + (small, n - base)
-    finite_part = {Fraction(big, small): n for _, (big, small, n) in sorted(finite.items())}
-    return ElasticityProfile(S, base, period, finite_part, starts, dict(sorted(lines.items())))
+    return ElasticityProfile(
+        S, base, period, dict(sorted(finite.items())), K, starts, dict(sorted(lines.items()))
+    )
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
@@ -183,23 +203,25 @@ def _lines_divisible_by(lines: dict[int, tuple[int, ...]], step: int) -> Iterato
 def contains_elasticity(profile: ElasticityProfile, q) -> tuple[bool, int | None]:
     """Exact membership of ``q`` in the elasticity set, with a witness element.
 
-    Looks ``q`` up in the finite part, else solves q = (g_k y - J)/(g_1 y)
-    on the tail lines.  With q = num/den and u = den g_k - num g_1 > 0, a
-    line J holds q iff u divides den J, that is iff J is a multiple of
-    s = u/gcd(den, u), at y = den J/u; a start (m0, i) on it attains q iff
-    m0 <= y and y = m0 (mod g_1), at step t = (y - m0)/g_1.  The query
-    visits the lines that s divides, as _align_sequences does.  The witness
-    lies in the hit start of smallest first class, as a scan of every class
-    would find it.
+    Looks ``q`` = num/den up in the finite part by its key num K // den and
+    confirms a hit by M den = num m: every finite value has its own key, but
+    a query of larger denominator may share one without being that value.
+    Else solves q = (g_k y - J)/(g_1 y) on the tail lines.  With
+    u = den g_k - num g_1 > 0, a line J holds q iff u divides den J, that
+    is iff J is a multiple of s = u/gcd(den, u), at y = den J/u; a start
+    (m0, i) on it attains q iff m0 <= y and y = m0 (mod g_1), at step
+    t = (y - m0)/g_1.  The query visits the lines that s divides, as
+    _align_sequences does.  The witness lies in the hit start of smallest
+    first class, as a scan of every class would find it.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
-    witness = profile.finite_part.get(q)
-    if witness is not None:
-        return True, witness
+    num, den = q.numerator, q.denominator
+    hit = profile.finite.get(num * profile.key_scale // den)
+    if hit is not None and hit[0] * den == num * hit[1]:
+        return True, hit[2]
     gens = profile.monoid.generators
     g1, gk = gens[0], gens[-1]
-    num, den = q.numerator, q.denominator
     # Every finite value lies in [1, g_k/g_1], and the finite part holds
     # g_k/g_1 itself: M(g_1 g_k) = g_k (g_k copies of g_1, no factor is
     # smaller) and m(g_1 g_k) = g_1 (g_1 copies of g_k, no factor is
@@ -241,6 +263,7 @@ def _align_sequences(
     # always found: n = c g_1 g_k in the window has M(n) = n/g_1, m(n) = n/g_k
     constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
     lines = dst.lines
+    top = next(reversed(lines), 0)
     out: list[SequenceAlignment | None] = []
     for (M0, m0), i in src.starts.items():
         J0 = G * m0 - g * M0
@@ -252,8 +275,12 @@ def _align_sequences(
         # alpha t + beta that holds for every t iff alpha is as above and
         # b_num = g m0 J1 - g' m1 J0 = beta g'^2 J0.
         scaled = gp * gp * J0
+        step = scaled // gcd(scaled, g * g)
+        if step > top:  # no target line is a multiple of step
+            out.append(None)
+            continue
         best = None  # (target, alpha, beta, t0) of the fit of smallest first class
-        for J1 in _lines_divisible_by(lines, scaled // gcd(scaled, g * g)):
+        for J1 in _lines_divisible_by(lines, step):
             line, alpha = lines[J1], J1 * g * g // scaled
             for k in range(0, len(line), 2):  # in starts order
                 m1, j = line[k], line[k + 1]
@@ -278,7 +305,7 @@ def _unaligned_values(
     that no alignment places in the other set: the finite part, the heads
     t < t0 of aligned starts and every step of unaligned ones.  K is at least
     the monoid's _key_scale at t_max, so each key is exact."""
-    left = {v.numerator * K // v.denominator: v.as_integer_ratio() for v in profile.finite_part}
+    left = {big * K // small: (big, small) for big, small, _ in profile.finite.values()}
     g1, gk = profile.monoid.g1, profile.monoid.gk
     for (big, small), a in zip(profile.starts, alignments):
         for t in range(t_max + 1 if a is None else a.t0):
@@ -356,7 +383,10 @@ def profile_json_pieces(profile: ElasticityProfile) -> Iterator[str]:
     [n,M,m] piece per class, read from the length columns; then the close."""
     S, base, end = profile.monoid, profile.base, profile.base + profile.period - 1
     row = "[%d,%d,%d]"
-    finite = ",".join(row % (*v.as_integer_ratio(), w) for v, w in profile.finite_part.items())
+    finite = ",".join(
+        row % (big // (g := gcd(big, small)), small // g, n)
+        for big, small, n in profile.finite.values()
+    )
     yield '{"generators":[%s],"base":%d,"period":%d,"finite_part":[%s],"sequences":[' % (
         ",".join(map(str, S.generators)), base, profile.period, finite
     )

@@ -1,0 +1,59 @@
+"""Helpers that several test modules share: the start of every residue
+class of a profile, a line index that counts full passes, and seeded pairs
+of monoids with equal limits."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from numelast import iter_lengths, new_monoid
+
+
+def columns(profile):
+    """(M0, m0) of every residue class, in class order: M and m at base + i."""
+    end = profile.base + profile.period - 1
+    return [(big, small) for _, big, small in iter_lengths(profile.monoid, profile.base, end)]
+
+
+class _CountingLines(dict):
+    """A profile's line index that records how a query visits it: a query
+    that passes over every line iterates the dict, one that walks the
+    multiples of its line step only looks lines up."""
+
+    def __init__(self, lines):
+        super().__init__(lines)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _draw(rng, lo, hi):
+    """Generators lo < ... < hi with up to three random ones in between, gcd 1."""
+    while True:
+        middle = rng.sample(range(lo + 1, hi), rng.randint(0, min(3, hi - lo - 1)))
+        gens = [lo, *middle, hi]
+        if gcd(*gens) == 1:
+            return gens
+
+
+def _same_limit_pairs(seed, count, scaled):
+    """Pairs with the same (g_1, g_k), and pairs with (g_1, g_k) against
+    (2 g_1, 2 g_k), all generators <= 16, kept when the normalized limits agree."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count + scaled:
+        want_scaled = len(pairs) >= count
+        g1 = rng.randint(2, 7 if want_scaled else 15)
+        gk = rng.randint(g1 + 1, 8 if want_scaled else 16)
+        if want_scaled:
+            if gk <= g1 + 1 or gcd(g1, gk) != 1:
+                continue
+            S1 = new_monoid(_draw(rng, g1, gk))
+            S2 = new_monoid(_draw(rng, 2 * g1, 2 * gk))
+        else:
+            S1, S2 = new_monoid(_draw(rng, g1, gk)), new_monoid(_draw(rng, g1, gk))
+        if Fraction(S1.gk, S1.g1) == Fraction(S2.gk, S2.g1):
+            pairs.append((S1, S2))
+    return pairs

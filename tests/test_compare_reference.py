@@ -10,7 +10,6 @@ library's certificate holds one alignment per distinct tail start; expanded
 to every residue class, the verdicts must agree field by field.
 """
 
-import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +27,6 @@ from numelast import (
     compare_built_profiles,
     compare_profiles,
     contains_elasticity,
-    iter_lengths,
     max_length,
     min_length,
     new_monoid,
@@ -36,14 +34,9 @@ from numelast import (
 from numelast.profile import _align_sequences
 
 import oracles
+from profile_helpers import _CountingLines, _same_limit_pairs, columns
 
 T_MAX = 50
-
-
-def columns(profile):
-    """(M0, m0) of every residue class, in class order: M and m at base + i."""
-    end = profile.base + profile.period - 1
-    return [(big, small) for _, big, small in iter_lengths(profile.monoid, profile.base, end)]
 
 
 def _candidates(profile, t_max):
@@ -127,36 +120,6 @@ def reference_verdict(S1, S2, t_max=T_MAX):
     return ComparisonVerdict("equal", None, t_max, (forward, backward), "alignment")
 
 
-def _draw(rng, lo, hi):
-    """Generators lo < ... < hi with up to three random ones in between, gcd 1."""
-    while True:
-        middle = rng.sample(range(lo + 1, hi), rng.randint(0, min(3, hi - lo - 1)))
-        gens = [lo, *middle, hi]
-        if gcd(*gens) == 1:
-            return gens
-
-
-def _same_limit_pairs(seed, count, scaled):
-    """Pairs with the same (g_1, g_k), and pairs with (g_1, g_k) against
-    (2 g_1, 2 g_k), all generators <= 16, kept when the normalized limits agree."""
-    rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count + scaled:
-        want_scaled = len(pairs) >= count
-        g1 = rng.randint(2, 7 if want_scaled else 15)
-        gk = rng.randint(g1 + 1, 8 if want_scaled else 16)
-        if want_scaled:
-            if gk <= g1 + 1 or gcd(g1, gk) != 1:
-                continue
-            S1 = new_monoid(_draw(rng, g1, gk))
-            S2 = new_monoid(_draw(rng, 2 * g1, 2 * gk))
-        else:
-            S1, S2 = new_monoid(_draw(rng, g1, gk)), new_monoid(_draw(rng, g1, gk))
-        if Fraction(S1.gk, S1.g1) == Fraction(S2.gk, S2.g1):
-            pairs.append((S1, S2))
-    return pairs
-
-
 def test_verdicts_match_reference_on_seeded_pairs():
     outcomes = Counter()
     # t_max 1 as well: there the last step t_max of a start that no
@@ -205,8 +168,6 @@ def test_alignment_matches_slope_walk_oracle():
     # every alignment list, None entries included, against the walk by
     # a_num that the line index replaced, on same-limit pairs only: the
     # alignment is run only once the limits agree
-    from test_tail_starts import _CountingLines  # that module imports this one
-
     pairs = _same_limit_pairs(seed=20140912, count=48, scaled=12)
     # and an alignment of alpha 2, beta -1 into <3,17>: t0 = 1 rounds -beta/alpha up
     fixtures = [*FIXTURES, ((3, 10, 17), (3, 17))]

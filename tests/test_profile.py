@@ -289,10 +289,13 @@ class _Untouched(Exception):
 
 
 class _UntouchedValues(dict):
-    """A finite part that fails on first read: the comparison has started."""
+    """A finite part that fails on first read, whichever view is read: the
+    comparison has started."""
 
-    def __iter__(self):
+    def _untouched(self, *args):
         raise _Untouched
+
+    __iter__ = __getitem__ = __contains__ = get = keys = values = items = _untouched
 
 
 def test_compare_rejects_tmax_out_of_range(monkeypatch):
@@ -309,7 +312,7 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
     # the bound is checked before any value is read: at the budget the
     # comparison starts, one step past it nothing is read
     prof = build_profile(S)
-    poisoned = replace(prof, finite_part=_UntouchedValues(prof.finite_part))
+    poisoned = replace(prof, finite=_UntouchedValues(prof.finite))
     t_max = TABLE_LIMIT // (2 * len(prof.starts)) - 1
     with pytest.raises(_Untouched):
         compare_built_profiles(poisoned, poisoned, t_max)

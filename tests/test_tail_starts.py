@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numelast import build_profile, contains_elasticity, elasticity, new_monoid, sequence_value
 
 import oracles
-from test_compare_reference import columns
+from profile_helpers import _CountingLines, columns
 
 raw_sets = st.lists(st.integers(1, 40), min_size=2, max_size=5).filter(lambda raw: gcd(*raw) == 1)
 bounded = settings(derandomize=True, max_examples=30, deadline=None)
@@ -94,20 +94,6 @@ def _line(S, start):
     return S.gk * small - S.g1 * big
 
 
-class _CountingLines(dict):
-    """A profile's line index that records how a query visits it: a query
-    that passes over every line iterates the dict, one that walks the
-    multiples of its line step only looks lines up."""
-
-    def __init__(self, lines):
-        super().__init__(lines)
-        self.passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
-
-
 def _traced(profile, q):
     """contains_elasticity(profile, q) and whether it walked the multiples of
     its line step (True) or passed over every line (False)."""
@@ -159,6 +145,64 @@ def test_membership_matches_start_scan_oracle_on_seeded_queries():
             if 1 < q < profile.limit and q not in profile.finite_part:
                 paths[walked] += 1
     assert paths[True] >= 50 and paths[False] >= 50, paths
+
+
+def _colliding_queries(rng, profile):
+    """Queries (num N +- 1)/(den N) next to sampled finite values num/den,
+    with N = 2 K den, K the profile's key scale: q K lies within 1/(2 den^2)
+    of num K/den, so q takes that value's key, on the side below only when
+    num K/den is not an integer."""
+    K = profile.key_scale
+    values = rng.sample(list(profile.finite_part), min(len(profile.finite_part), 40))
+    queries = []
+    for v in values:
+        num, den = v.numerator, v.denominator
+        N = 2 * K * den
+        queries.append((v, Fraction(num * N + 1, den * N)))
+        if num * K % den:
+            queries.append((v, Fraction(num * N - 1, den * N)))
+    return queries
+
+
+@pytest.mark.parametrize("gens", [(7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203)])
+def test_finite_key_collisions_are_confirmed_exactly(gens):
+    # a query that shares a finite value's integer key without equalling it
+    # must not take that value's witness; the oracle reads the Fraction-keyed
+    # finite_part and shares no code with the key lookup
+    rng = random.Random(22)
+    profile = build_profile(new_monoid(gens))
+    K = profile.key_scale
+    collisions = _colliding_queries(rng, profile)
+    assert len(collisions) > 40
+    for v, q in collisions:
+        assert q != v and q.numerator * K // q.denominator == v.numerator * K // v.denominator
+        assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q), (gens, q)
+        assert contains_elasticity(profile, v) == (True, profile.finite_part[v])
+    for q in (1, 1.5, Fraction(3, 2), 2):
+        assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q), (gens, q)
+
+
+def test_build_and_finite_hits_make_no_fraction(monkeypatch):
+    # the finite part is kept and looked up in integers: a build and a
+    # finite-part hit on a Fraction the caller already holds make none, and
+    # finite_part makes one per value, once
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr("numelast.profile.Fraction", CountingFraction)
+    for gens in ((7, 12, 17, 22), (31, 57, 73, 101)):
+        profile = build_profile(new_monoid(gens))
+        assert made == []
+        values = list(profile.finite_part)
+        assert len(made) == len(profile.finite) and profile.finite_part is profile.finite_part
+        made.clear()
+        for q in values:
+            assert contains_elasticity(profile, q)[0]
+        assert made == []
 
 
 def test_line_index_holds_every_non_flat_start_once():
