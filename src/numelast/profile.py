@@ -14,6 +14,12 @@ Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so a certificate
 holds one entry per start, naming the sequence a scan of every class would.
 
+A build reads the length columns once.  Each row's pair (M, m) becomes one
+64-bit code, M 2**32 + m, formed in C by writing the two int32 columns into
+the halves of one buffer (see _pair_codes); only the first n of each
+distinct code is kept, and values, starts and lines are computed once per
+distinct pair (6405 of them for the 207717 rows of <211,307,401>).
+
 The finite part is kept in integers: each value M/m, with the lengths of its
 smallest witness, under its exact key floor(M K / m), K = _key_scale(S, 0),
 in increasing key order.  A membership query looks up its own key and
@@ -31,17 +37,18 @@ contains_elasticity), and an alignment only those a source line can join
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from math import gcd
-from operator import add, mul
 
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
-from .errors import IndexOutOfRange, SingleGenerator, TableTooLarge
+from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
 from .lengths import iter_length_columns, iter_lengths, max_length, min_length
 from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical
 
@@ -135,15 +142,49 @@ def _key_scale(S: NumericalMonoid, t_max: int) -> int:
     return D * D + 1
 
 
-def _first_codes(S: NumericalMonoid, lo: int, hi: int, C: int) -> dict[int, int]:
-    """M(n) C + m(n) -> the smallest n in [lo, hi) with those lengths, in
-    order of first appearance, for the monoid elements n; ``C`` is above
-    every m(n), so the code is exact."""
+#: The 64-bit code of a row's lengths, M 2**32 + m, from M in the high half
+#: and m in the low one; the gap pair (-1, -1) of an n outside the monoid,
+#: all bits set, reads as -1.
+_HALF = 1 << 32
+_GAP = -1
+# the array('i') slot of each pair that holds a code's high half
+_HIGH = 1 if sys.byteorder == "little" else 0
+
+
+def _pair_codes(big, small) -> memoryview:
+    """The rows of an M and an m column as one 64-bit code each, formed in
+    C: the columns fill the alternating halves of one buffer, read back as
+    int64.  divmod(code, 2**32) gives (M, m) for every m >= 0.
+
+    The packing is exact only for array('i') columns, and every column
+    build_profile reads is one, as _ramp picks that type for lengths below
+    2**31.  Each n read is below base + period = (g_{k-1} + g_1) g_k
+    <= 2 g_{k-1} g_k, and TABLE_LIMIT gives (g_k - 1) g_{k-1} < 5 10**6
+    with g_{k-1} <= g_k - 1, so g_{k-1} g_k < 10**7 and n < 2 10**7.  The
+    M column's ramp stays below (b - 1)/g_1 < 2 10**7; the m column's below
+    (b - 1 + vtop)/g_k, where vtop = g_k m(s) - s for a breakpoint s within
+    the window, so vtop/g_k <= m(s) <= s < 5 10**6.  Any other column is a
+    library fault, not an input to fall back on."""
+    if not (type(big) is type(small) is array and big.typecode == small.typecode == "i"):
+        raise InternalInconsistency(
+            f"length columns of {type(big).__name__}/{type(small).__name__}, not array('i')"
+        )
+    pairs = array("i", bytes(8 * len(big)))
+    pairs[_HIGH::2] = big
+    pairs[1 - _HIGH::2] = small
+    return memoryview(pairs).cast("B").cast("q")
+
+
+def _first_codes(S: NumericalMonoid, lo: int, hi: int) -> dict[int, int]:
+    """The 64-bit code M(n) 2**32 + m(n) of _pair_codes -> the smallest n
+    in [lo, hi) with those lengths, in order of first appearance, for the
+    monoid elements n."""
     first: dict[int, int] = {}
     for start, big, small in iter_length_columns(S, lo, hi - 1):
-        codes = map(add, map(mul, big, repeat(C)), small)
-        deque(map(first.setdefault, codes, range(start, start + len(big))), maxlen=0)
-    first.pop(-C - 1, None)  # the code of every n outside the monoid
+        codes = _pair_codes(big, small)
+        deque(map(first.setdefault, codes, range(start, start + len(codes))), maxlen=0)
+        del codes, big, small  # free this chunk's buffer before the next is written
+    first.pop(_GAP, None)
     return first
 
 
@@ -151,26 +192,25 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     """Finite part, tail starts and tail lines of the monoid's elasticity set.
 
     Reads the length columns over [1, base) and [base, base + period) and
-    keeps the first n of each distinct pair (M, m) in each, as one int code;
-    values, starts and lines are then computed once per pair.  Window pairs
-    come first and each range's pairs in increasing n, so the first pair of
-    a value gives its smallest witness, and a line lists its starts in
-    ``starts`` order."""
+    keeps the first n of each distinct pair (M, m) in each, as one 64-bit
+    code formed in C; values, starts and lines are then computed once per
+    pair, from the pair the code decodes to.  Window pairs come first and
+    each range's pairs in increasing n, so the first pair of a value gives
+    its smallest witness, and a line lists its starts in ``starts`` order."""
     if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
-    C = base + period  # m(n) <= n/g_1 < C for every n read
-    window, tail = _first_codes(S, 1, base, C), _first_codes(S, base, base + period, C)
+    window, tail = _first_codes(S, 1, base), _first_codes(S, base, base + period)
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
     for code, n in chain(window.items(), tail.items()):
-        big, small = divmod(code, C)
+        big, small = divmod(code, _HALF)
         finite.setdefault(big * K // small, (big, small, n))
     starts: dict[tuple[int, int], int] = {}
     lines: dict[int, tuple[int, ...]] = {}
     for code, n in tail.items():
-        big, small = divmod(code, C)
+        big, small = divmod(code, _HALF)
         starts[big, small] = n - base
         J = gk * small - g1 * big
         if J:

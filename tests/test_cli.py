@@ -1,4 +1,5 @@
 import functools
+from array import array
 import json
 import os
 import subprocess
@@ -234,6 +235,21 @@ def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
     assert code == 2  # <1> has no tails: still an input error
 
 
+def test_profile_refuses_int64_columns_exits_1(capsys, monkeypatch):
+    # a length column of any type but array('i') breaks the exactness of
+    # the pair code: a library fault (exit 1), not bad input
+    columns = numelast.profile.iter_length_columns
+
+    def wide(S, lo, hi):
+        for start, big, small in columns(S, lo, hi):
+            yield start, array("q", big), array("q", small)
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)
+    code, out, err = run(capsys, "profile", "3,5")
+    assert code == 1 and out == "" and "error" in err
+    assert "not array('i')" in err
+
+
 VERIFY_LINES = {
     "core": ["PASS core.length_tables_match_enumeration"],
     "arith": ["PASS arith.embedding_preserves_values"],
@@ -247,6 +263,19 @@ def test_verify_core_suite(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert out.splitlines() == VERIFY_LINES[suite]
+
+
+def test_verify_profile_suite_scans_across_a_chunk_seam(capsys, monkeypatch):
+    # an installed copy must check the pair codes of a multi-chunk scan
+    columns, chunks = numelast.profile.iter_length_columns, []
+
+    def counted(S, lo, hi):
+        chunks.append(sum(1 for _ in columns(S, lo, hi)))
+        return columns(S, lo, hi)
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", counted)
+    assert run(capsys, "verify", "--suite", "profile")[:2] == (0, "PASS profile.profile_decomposition\n")
+    assert max(chunks) >= 2
 
 
 def test_verify_all_under_optimize_flag():

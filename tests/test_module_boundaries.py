@@ -11,11 +11,15 @@ Every name a module imports must be read in it.  ``__init__.py`` is exempt,
 since its imports are the public re-exports, and so is ``from __future__
 import annotations``.
 
+Every import is from the standard library (``sys.stdlib_module_names``) or
+from the package itself, as ``dependencies = []`` promises.
+
 No module has an ``assert`` statement: python -O strips them, and contract
 checks must still run there, so they raise typed errors instead.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +117,47 @@ def test_no_module_has_an_unused_import():
 )
 def test_unused_imports_detects_each_form(source, expected):
     assert unused_imports(source) == expected
+
+
+def foreign_imports(source):
+    """(line, module) for each import in ``source`` from neither the standard
+    library nor the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not _in_package(node):
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            (node.lineno, module) for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names | {"numelast"}
+        ]
+    return sorted(found)
+
+
+def test_every_import_is_stdlib_or_the_package():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    found = {path.name: foreign_imports(path.read_text()) for path in paths}
+    assert {name: foreign for name, foreign in found.items() if foreign} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import numpy\n", [(1, "numpy")]),
+        ("from numpy import array\n", [(1, "numpy")]),
+        ("import os, numpy.linalg as la\nx = la\n", [(1, "numpy.linalg")]),
+        ("def f():\n    from sympy import Rational\n", [(2, "sympy")]),
+        ("from .monoid import contains\nfrom . import profile\n", []),  # relative
+        ("from array import array\nimport numelast.profile\n", []),
+        ("from __future__ import annotations\nimport collections.abc\n", []),
+    ],
+)
+def test_foreign_imports_detects_each_form(source, expected):
+    assert foreign_imports(source) == expected
 
 
 def assert_lines(source):

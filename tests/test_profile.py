@@ -1,5 +1,6 @@
 import hashlib
 import json
+from array import array
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import numelast
 from numelast import (
     IndexOutOfRange,
+    InternalInconsistency,
     SingleGenerator,
     TableTooLarge,
     build_profile,
@@ -31,6 +33,7 @@ from numelast import (
 )
 
 from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
+from numelast.profile import _first_codes, _pair_codes
 
 import oracles
 from test_compare_reference import expand
@@ -113,6 +116,44 @@ def test_window_check_survives_optimize_flag():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["typed", "1"]
+
+
+def widened_columns(monkeypatch, widen):
+    """Make build_profile read every length column through ``widen``."""
+    columns = numelast.profile.iter_length_columns
+
+    def wide(S, lo, hi):
+        for start, big, small in columns(S, lo, hi):
+            yield start, widen(big), widen(small)
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)
+
+
+@pytest.mark.parametrize("widen", [lambda c: array("q", c), list], ids=["q", "list"])
+def test_build_profile_refuses_columns_other_than_int32(monkeypatch, widen):
+    # the pair code is exact only for array('i') columns; any other column
+    # is a library fault, with no fallback path
+    widened_columns(monkeypatch, widen)
+    with pytest.raises(InternalInconsistency, match=r"not array\('i'\)"):
+        build_profile(new_monoid([3, 5]))
+
+
+def test_pair_code_round_trips_extreme_lengths(monkeypatch):
+    # lengths 0, 1 and 2**31 - 1 in either half, which the seeded oracle
+    # tests never reach, catch a sign or half-swap in the packing
+    edge = (0, 1, 2**31 - 1)
+    pairs = [(big, small) for big in edge for small in edge]
+    big = array("i", [M for M, _ in pairs] + [-1])
+    small = array("i", [m for _, m in pairs] + [-1])
+    codes = list(_pair_codes(big, small))
+    assert [divmod(code, 2**32) for code in codes[:-1]] == pairs
+    assert len(set(codes)) == len(codes)
+    # the gap pair (-1, -1) gives the one code _first_codes drops
+    monkeypatch.setattr(
+        numelast.profile, "iter_length_columns", lambda S, lo, hi: iter([(lo, big, small)])
+    )
+    first = _first_codes(S35, 100, 100 + len(codes))
+    assert first == {code: 100 + i for i, code in enumerate(codes[:-1])}
 
 
 def test_sequence_value_examples_and_errors():
