@@ -169,7 +169,7 @@ def _pair_codes(big, small) -> memoryview:
         raise InternalInconsistency(
             f"length columns of {type(big).__name__}/{type(small).__name__}, not array('i')"
         )
-    pairs = array("i", bytes(8 * len(big)))
+    pairs = array("i", [0]) * (2 * len(big))
     pairs[_HIGH::2] = big
     pairs[1 - _HIGH::2] = small
     return memoryview(pairs).cast("B").cast("q")
