@@ -142,11 +142,9 @@ def _key_scale(S: NumericalMonoid, t_max: int) -> int:
     return D * D + 1
 
 
-#: The 64-bit code of a row's lengths, M 2**32 + m, from M in the high half
-#: and m in the low one; the gap pair (-1, -1) of an n outside the monoid,
-#: all bits set, reads as -1.
+#: The 64-bit code of a row's lengths, M 2**32 + m, holds M in its high half
+#: and m in its low one.
 _HALF = 1 << 32
-_GAP = -1
 # the array('i') slot of each pair that holds a code's high half
 _HIGH = 1 if sys.byteorder == "little" else 0
 
@@ -163,8 +161,9 @@ def _pair_codes(big, small) -> memoryview:
     with g_{k-1} <= g_k - 1, so g_{k-1} g_k < 10**7 and n < 2 10**7.  The
     M column's ramp stays below (b - 1)/g_1 < 2 10**7; the m column's below
     (b - 1 + vtop)/g_k, where vtop = g_k m(s) - s for a breakpoint s within
-    the window, so vtop/g_k <= m(s) <= s < 5 10**6.  Any other column is a
-    library fault, not an input to fall back on."""
+    the window, so vtop/g_k <= m(s) <= s < 5 10**6.  Every length is thus
+    below 2.5 10**7 < 2**31, and any other column is a library fault, not
+    an input to fall back on."""
     if not (type(big) is type(small) is array and big.typecode == small.typecode == "i"):
         raise InternalInconsistency(
             f"length columns of {type(big).__name__}/{type(small).__name__}, not array('i')"
@@ -184,7 +183,7 @@ def _first_codes(S: NumericalMonoid, lo: int, hi: int) -> dict[int, int]:
         codes = _pair_codes(big, small)
         deque(map(first.setdefault, codes, range(start, start + len(codes))), maxlen=0)
         del codes, big, small  # free this chunk's buffer before the next is written
-    first.pop(_GAP, None)
+    first.pop(-1, None)  # the gap pair (-1, -1) of every n outside the monoid, all bits set
     return first
 
 
