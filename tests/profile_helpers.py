@@ -1,11 +1,12 @@
 """Helpers that several test modules share: the start of every residue
-class of a profile, a line index that counts full passes, and seeded pairs
-of monoids with equal limits."""
+class of a profile, a line index that counts full passes, seeded pairs of
+monoids with equal limits, and length columns of another type."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import numelast.profile
 from numelast import iter_lengths, new_monoid
 
 
@@ -57,3 +58,14 @@ def _same_limit_pairs(seed, count, scaled):
         if Fraction(S1.gk, S1.g1) == Fraction(S2.gk, S2.g1):
             pairs.append((S1, S2))
     return pairs
+
+
+def widen_columns(monkeypatch, widen):
+    """Make build_profile read every length column through ``widen``."""
+    columns = numelast.profile.iter_length_columns
+
+    def wide(S, lo, hi):
+        for start, big, small in columns(S, lo, hi):
+            yield start, widen(big), widen(small)
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)

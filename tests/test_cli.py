@@ -1,10 +1,10 @@
 import functools
-from array import array
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +14,8 @@ import numelast
 from numelast.cli import WRITE_CHUNK, main
 from numelast.lengths import length_stats_range
 from numelast.monoid import WindowTables
+
+from profile_helpers import widen_columns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -238,13 +240,7 @@ def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
 def test_profile_refuses_int64_columns_exits_1(capsys, monkeypatch):
     # a length column of any type but array('i') breaks the exactness of
     # the pair code: a library fault (exit 1), not bad input
-    columns = numelast.profile.iter_length_columns
-
-    def wide(S, lo, hi):
-        for start, big, small in columns(S, lo, hi):
-            yield start, array("q", big), array("q", small)
-
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)
+    widen_columns(monkeypatch, lambda column: array("q", column))
     code, out, err = run(capsys, "profile", "3,5")
     assert code == 1 and out == "" and "error" in err
     assert "not array('i')" in err

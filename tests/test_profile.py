@@ -1,10 +1,10 @@
 import hashlib
 import json
-from array import array
 import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd
@@ -36,6 +36,7 @@ from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
 from numelast.profile import _first_codes, _pair_codes
 
 import oracles
+from profile_helpers import widen_columns
 from test_compare_reference import expand
 
 S35 = new_monoid([3, 5])
@@ -118,22 +119,11 @@ def test_window_check_survives_optimize_flag():
     assert done.stdout.split() == ["typed", "1"]
 
 
-def widened_columns(monkeypatch, widen):
-    """Make build_profile read every length column through ``widen``."""
-    columns = numelast.profile.iter_length_columns
-
-    def wide(S, lo, hi):
-        for start, big, small in columns(S, lo, hi):
-            yield start, widen(big), widen(small)
-
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)
-
-
 @pytest.mark.parametrize("widen", [lambda c: array("q", c), list], ids=["q", "list"])
 def test_build_profile_refuses_columns_other_than_int32(monkeypatch, widen):
     # the pair code is exact only for array('i') columns; any other column
     # is a library fault, with no fallback path
-    widened_columns(monkeypatch, widen)
+    widen_columns(monkeypatch, widen)
     with pytest.raises(InternalInconsistency, match=r"not array\('i'\)"):
         build_profile(new_monoid([3, 5]))
 
