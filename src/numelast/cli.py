@@ -7,12 +7,13 @@ of two elasticity sets), profile (JSON tail decomposition), verify
 (one smoke check per suite of the running copy; the full battery is the
 test suite).
 
-stats, plot and profile stream their output, so memory does not grow with
-the range or the period; a reader that closes stdout early ends them
-quietly.
+stats and profile stream their output, so memory does not grow with the
+range or the period; plot holds 16 bytes a point, as its axes come first.
+A reader that closes stdout early ends them quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
-progressions by the paper's theorem alone, with no length table.
+progressions by the paper's theorem alone, and two monoids of differing
+limits g_k/g_1 by those limits, with no length table.
 
 Exit codes: 0 success, 1 failed verification or internal inconsistency,
 2 invalid generators/arguments or length tables over the budget, 3 I/O

@@ -38,9 +38,10 @@ from .errors import (
 #: Cap on the largest generator new_monoid accepts.
 MAX_GENERATOR = 10**6
 
-#: Most table entries one monoid may take, 2 ((g_k - 1) g_{k-1} + 1) for its
-#: two tables over one window (4 bytes each), which also bounds its
-#: breakpoints; larger monoids raise TableTooLarge before any work.
+#: Most window entries of M and m together, 2 ((g_k - 1) g_{k-1} + 1), one
+#: monoid may take: it bounds the breakpoints (at most one per entry) and, by
+#: profile._pair_codes, keeps every length below 2**31.  Larger monoids raise
+#: TableTooLarge before any work; compare_built_profiles bounds its tail values by it.
 TABLE_LIMIT = 10**7
 
 #: Least number of entries in one chunk of length columns, and of pieces in
@@ -129,8 +130,10 @@ def new_monoid(raw) -> NumericalMonoid:
     """Build the monoid generated by ``raw``.
 
     Sorts, deduplicates, and drops generators representable over the smaller
-    ones, so the result carries the minimal generating set: g is kept iff its
-    only factorization over the raw set is g itself, that is iff M(g) = 1.
+    ones: g is kept iff M(g) = 1 over the raw set, which the first breakpoint
+    (s, W) of M in its class mod g_1 decides.  As g is a sum in its class,
+    s <= g; s < g gives g = s + c g_1 with c >= 1, so M(g) >= 2; and s = g
+    makes W the least weight of g, so M(g) = (g - W)/g_1 = 1 iff W = g - g_1.
     Raises TypeError (for 3.0 too, before deduplication could drop it), EmptyInput,
     ZeroGenerator or NonCoprime, then GeneratorTooLarge.
     """
@@ -139,10 +142,9 @@ def new_monoid(raw) -> NumericalMonoid:
         raise GeneratorTooLarge(
             f"largest generator {gens[-1]} exceeds the cap {MAX_GENERATOR}"
         )
-    g1, gk = gens[0], gens[-1]
-    # only M(g) = 1 matters, so only the breakpoints of M up to g_k are found
-    breaks = _breakpoints(g1, gens[1:], gk, -1)
-    return NumericalMonoid(tuple(g for g in gens if _longest(breaks, g1, g) == 1))
+    g1 = gens[0]
+    first = _breakpoints(g1, gens[1:], gens[-1], -1)
+    return NumericalMonoid((g1, *(g for g in gens[1:] if first[g % g1][0] == (g, g - g1))))
 
 
 def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int, int]]]:
@@ -199,20 +201,6 @@ def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int,
                 break
             heappush(heap, (s + g, u + step, i))
     return breaks
-
-
-def _longest(breaks, g1: int, n: int) -> int:
-    """M(n) from the breakpoints of M mod ``g1``, -1 below the first of its
-    class (n < 0 too): at or past the last from it, else by bisection."""
-    ramps = breaks[n % g1]
-    s, w = ramps[-1]
-    if n < s:
-        # (s, w) < (n + 1,) iff s <= n
-        i = bisect_left(ramps, (n + 1,))
-        if not i:
-            return -1
-        s, w = ramps[i - 1]
-    return (n - w) // g1
 
 
 def _ramp(lo: int, hi: int):
@@ -295,7 +283,7 @@ class WindowTables:
     written to.
     """
 
-    __slots__ = ("generators", "g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks")
+    __slots__ = ("g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks")
 
     def __init__(self, generators: tuple[int, ...]):
         g1, gk = generators[0], generators[-1]
@@ -306,7 +294,7 @@ class WindowTables:
                 f"the length tables of <{','.join(map(str, generators))}> need "
                 f"{2 * (limit + 1)} entries, above the limit {TABLE_LIMIT}"
             )
-        self.generators, self.g1, self.gk, self.limit = generators, g1, gk, limit
+        self.g1, self.gk, self.limit = g1, gk, limit
         self.max_breaks, self.min_breaks, self.frobenius = _fill(generators, limit)
         # When the Frobenius number F lies below the last g_k entries of the
         # window, those are g_k >= g_1 members in a row, so every class mod
@@ -317,7 +305,7 @@ class WindowTables:
         if self.frobenius + gk > limit:
             raise InternalInconsistency(f"membership gap inside the window of {generators}")
 
-    # max_length repeats _longest, and min_length its mirror, inline: a
+    # max_length and min_length repeat one bisection, mirrored, inline: a
     # warm lookup takes a fraction of a microsecond, and a call adds a third
 
     def max_length(self, n: int) -> int:

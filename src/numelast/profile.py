@@ -50,7 +50,7 @@ from math import gcd
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
 from .lengths import iter_length_columns, iter_lengths, max_length, min_length
-from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical
+from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical, max_elasticity
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
@@ -357,7 +357,8 @@ def compare_profiles(
     S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = T_MAX
 ) -> ComparisonVerdict:
     """Compare two monoids' elasticity sets: two arithmetic progressions by the
-    theorem, with arithmetical_witness's witness; others by compare_built_profiles."""
+    theorem, with arithmetical_witness's witness; others with differing limits
+    by those, as compare_built_profiles would; the rest by compare_built_profiles."""
     if t_max < 0:
         raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
     a1, a2 = detect_arithmetical(S1), detect_arithmetical(S2)
@@ -365,6 +366,9 @@ def compare_profiles(
         if elasticity_sets_equal_arithmetical(a1, a2):
             return ComparisonVerdict("equal", None, t_max, None, "theorem")
         return ComparisonVerdict("not_equal", arithmetical_witness(a1, a2), t_max, None, "theorem")
+    limits = max_elasticity(S1), max_elasticity(S2)
+    if limits[0] != limits[1]:
+        return ComparisonVerdict("not_equal", max(limits), t_max, None, "limits")
     return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
 
 

@@ -19,19 +19,22 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
 
     Yields the document line by line, each line ending in a newline; the
     points are held as two packed columns (8 bytes a coordinate), since the
-    axis ranges come before the first point.  Output is byte-deterministic
-    for a fixed point list: coordinates are formatted with two decimals and
-    points keep their input order.
+    axis ranges come before the first point; x as its offset from the first
+    point's, so x may pass 2**63.  Output is byte-deterministic for a fixed
+    point list: coordinates have two decimals and points keep their order.
     """
     xs, ys = array("q"), array("d")
+    x0 = None
     for x, y in points:
-        xs.append(x)
+        if x0 is None:
+            x0 = x
+        xs.append(x - x0)
         ys.append(y)
     if xs:
-        x_lo, x_hi = min(xs), max(xs)
+        x_lo, x_hi = x0 + min(xs), x0 + max(xs)
         y_lo, y_hi = min(ys), max(ys)
     else:
-        x_lo, x_hi, y_lo, y_hi = 0, 1, 0.0, 1.0
+        x0, x_lo, x_hi, y_lo, y_hi = 0, 0, 1, 0.0, 1.0
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
     if y_lo == y_hi:
@@ -72,8 +75,9 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
         f'font-family="monospace" font-size="11">{_fmt(y_hi)}</text>'
     )
     yield "\n".join(lines) + "\n"
-    for x, y in zip(xs, ys):
-        cx = MARGIN + (x - x_lo) / span_x * inner_w
+    shift = x_lo - x0  # an offset minus shift is x - x_lo
+    for dx, y in zip(xs, ys):
+        cx = MARGIN + (dx - shift) / span_x * inner_w
         cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
         yield f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="steelblue"/>\n'
     yield "</svg>\n"

@@ -172,7 +172,7 @@ def test_compare_sup_mismatch(capsys):
 def test_compare_invalid(capsys):
     code, _, err = run(capsys, "compare", "4,6", "3,5")
     assert code == 2 and "error" in err
-    code, out, err = run(capsys, "compare", "1", "3,5")  # <1> has no tails
+    code, out, err = run(capsys, "compare", "1", "1")  # <1> has no tails
     assert code == 2 and out == "" and "error" in err
     # a negative bound is refused for every pair, two progressions included
     for pair in (("6,10,13,14", "6,11,13,14"), ("3,5", "3,5")):
@@ -303,6 +303,16 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert code == 1
     assert "FAIL core.length_tables_match_enumeration" in out
 
+    # a check that raises fails its suite with the exception named
+    def raising():
+        raise ZeroDivisionError("broken check")
+
+    monkeypatch.setitem(numelast.verify.SUITES, "core", ("raising_check", raising))
+    code = main(["verify", "--suite", "core"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == "FAIL core.raising_check (ZeroDivisionError: broken check)\n"
+
 
 def test_verify_profile_negative_control(capsys, monkeypatch):
     # empty the tail line index: tail values past the finite part are no
@@ -340,8 +350,9 @@ def test_verify_arith_fails_under_optimize_flag():
 def test_table_budget_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "9973,10007")
     assert code == 2 and out == "" and "error" in err
-    # not two progressions, so compare builds both profiles' tables
-    code, out, err = run(capsys, "compare", "9973,10007,10009", "3,5")
+    # not two progressions and the same limit, so compare builds both
+    # profiles' tables
+    code, out, err = run(capsys, "compare", "9973,10007,10009", "9973,10008,10009")
     assert code == 2 and out == "" and "error" in err
     # the streaming commands build their tables before the first write
     code, out, err = run(capsys, "plot", "9973,10007")
@@ -358,9 +369,13 @@ def test_table_budget_exits_2(tmp_path, capsys):
     ("9973,10007", "3,5", ["NOT_EQUAL witness=5/3", "arithmetical: NOT_EQUAL"]),
     # d = 1 and a/k = 3000 on both sides, gcd(a, k) >= 2 on both
     ("6000,6001,6002", "9000,9001,9002,9003", ["EQUAL", "arithmetical: EQUAL"]),
+    # not two progressions, but the limits g_k/g_1 differ
+    ("9973,10007,10009", "3,5,7", ["NOT_EQUAL witness=7/3"]),
+    ("1", "3,5", ["NOT_EQUAL witness=5/3"]),  # <1> has no tails
 ])
 def test_compare_progressions_build_no_table(capsys, gens1, gens2, lines):
-    # tables this size are over the budget; the theorem needs none
+    # tables this size are over the budget; the theorem and differing
+    # limits need none
     numelast.clear_caches()
     code, out, _ = run(capsys, "compare", gens1, gens2)
     assert code == 0
@@ -458,6 +473,15 @@ def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
         assert out == _reference_output(gens, lo, hi, output), args
         assert run(capsys, *args, "--output", str(target))[0] == 0
         assert target.read_bytes() == out.encode(), args
+
+
+def test_plot_past_int64_matches_reference(capsys):
+    # each x past 2**63 is held as its offset from the first point's
+    lo, hi = 10**19, 10**19 + 5
+    code, out, _ = run(capsys, "plot", "3,5", "--from", str(lo), "--to", str(hi))
+    assert code == 0
+    assert out == _reference_output((3, 5), lo, hi, "rho")
+    assert f">{lo}</text>" in out and f">{hi}</text>" in out
 
 
 def test_closed_stdout_exits_0():

@@ -14,12 +14,17 @@ import annotations``.
 Every import is from the standard library (``sys.stdlib_module_names``) or
 from the package itself, as ``dependencies = []`` promises.
 
+Every private name a module defines at its top level is read somewhere in
+the package other than its own definition: a helper that nothing calls is
+deleted, not kept alive.
+
 No module has an ``assert`` statement: python -O strips them, and contract
 checks must still run there, so they raise typed errors instead.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -185,3 +190,59 @@ def test_no_module_has_an_assert_statement():
 )
 def test_assert_lines_detects_each_form(source, expected):
     assert assert_lines(source) == expected
+
+
+def unread_privates(source):
+    """(line, name) for each private name bound at the top level of
+    ``source`` (a def, a class or an assignment) that no other top-level
+    statement of ``source`` reads.  No module reads another module's
+    private names, so a name unread in its module is unread in the package."""
+    tree = ast.parse(source)
+    loads = [  # the names each top-level statement reads
+        {
+            sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for node in tree.body
+    ]
+    readers = Counter(name for names in loads for name in names)
+    found = []
+    for node, own in zip(tree.body, loads):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)
+            ]
+        else:
+            continue
+        found += [  # read by no statement but, at most, its own
+            (node.lineno, name) for name in names
+            if _private(name) and readers[name] == (name in own)
+        ]
+    return sorted(found)
+
+
+def test_every_private_name_is_read():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    found = {path.name: unread_privates(path.read_text()) for path in paths}
+    assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def _helper():\n    pass\n", [(1, "_helper")]),
+        ("class _Box:\n    pass\n", [(1, "_Box")]),
+        ("_A, B = 1, 2\n_C: int = 3\nx = B\n", [(1, "_A"), (2, "_C")]),
+        # a call from its own body is no read from elsewhere
+        ("def _loop(n):\n    return _loop(n - 1) if n else 0\n", [(1, "_loop")]),
+        ("_HALF = 2\n\ndef _f():\n    return _HALF\n\ndef g():\n    return _f()\n", []),
+        ("def f():\n    _local = 1\n    return 0\n", []),  # not at the top level
+        ("__all__ = ['f']\ndef _g():\n    pass\nx = [_g]\n", []),
+    ],
+)
+def test_unread_privates_detects_each_form(source, expected):
+    assert unread_privates(source) == expected

@@ -37,6 +37,9 @@ def test_new_monoid_sorts_and_dedupes():
 
 def test_new_monoid_drops_redundant_generator():
     assert new_monoid([3, 5, 8]).generators == (3, 5)
+    # 10 = 5 + 5: the first breakpoint of its class mod 3 is (10, 4), not
+    # (10, 7), so a test on s alone would keep 10
+    assert new_monoid([3, 5, 10]).generators == (3, 5)
 
 
 def test_new_monoid_rejects_common_factor():

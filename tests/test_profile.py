@@ -350,6 +350,8 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
     for too_large in (t_max + 1, 10**18):
         with pytest.raises(TableTooLarge):
             compare_built_profiles(poisoned, poisoned, too_large)
+    with pytest.raises(IndexOutOfRange):
+        compare_built_profiles(poisoned, poisoned, -1)
 
 
 def test_certificate_identity_spot_check():
