@@ -33,6 +33,10 @@ its non-flat starts by line; by one rule, _lines_divisible_by, a membership
 query visits only the lines that can hold its value (see
 contains_elasticity), and an alignment only those a source line can join
 (see _align_sequences).
+
+A comparison first walks the first profile's smallest values upward (see
+_first_side_witness); only if that finds no witness are both sides aligned
+and the values the alignments leave cross-checked.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heapreplace, merge
 from itertools import chain, filterfalse
 from math import gcd
 
@@ -353,6 +358,38 @@ def _unaligned_values(
     return left
 
 
+def _first_side_witness(
+    p1: ElasticityProfile, p2: ElasticityProfile, K: int, t_max: int
+) -> Fraction | None:
+    """Walks p1's bounded values in increasing floor(v K) up to the first
+    that is no finite value of p2 (a key hit, confirmed by cross-multiplying),
+    and returns that value if R(S2) lacks it, else None.  The values are the
+    finite part, in key order, merged by a heap with each non-flat start's
+    steps t = 1, ..., t_max (a start's step 0, and a flat start's every
+    step, lie in the finite part).  Every smaller bounded value of p1 lies
+    in R(S2), so a returned value is min(bounded(p1) - R(S2)): the full
+    cross-check's first-side witness, since the values it drops lie in
+    R(S2), in the other side's bounded set or aligned from step t0 on."""
+    g1, gk = p1.monoid.g1, p1.monoid.gk
+    heap = [((M + gk) * K // (m + g1), M + gk, m + g1, 1) for M, m in p1.starts if gk * m - g1 * M]
+    heapify(heap)
+
+    def tail_values():
+        while heap:
+            _, num, den, t = heap[0]
+            step = (num + gk) * K // (den + g1), num + gk, den + g1, t + 1
+            yield heapreplace(heap, step) if t < t_max else heappop(heap)
+
+    finite = ((M * K // m, M, m, 0) for M, m, _ in p1.finite.values())
+    K2, other = p2.key_scale, p2.finite
+    for _, num, den, _ in merge(finite, tail_values() if t_max else ()):
+        hit = other.get(num * K2 // den)
+        if hit is None or hit[0] * den != num * hit[1]:
+            value = Fraction(num, den)
+            return None if contains_elasticity(p2, value)[0] else value
+    return None
+
+
 def compare_profiles(
     S1: NumericalMonoid, S2: NumericalMonoid, t_max: int = T_MAX
 ) -> ComparisonVerdict:
@@ -378,17 +415,20 @@ def compare_built_profiles(
     """Compare the elasticity sets of two built profiles.
 
     Reports not_equal ("limits") when the limits differ, with the larger
-    limit as the witness.  Otherwise each start is aligned first, and only
-    the values the alignments leave are cross-checked.  A side's bounded
-    values are its finite part plus its tail values up to step ``t_max``,
-    keyed by floor(v K), K the larger _key_scale of the two monoids at
-    ``t_max``.  Aligned values from step t0 on lie in the other set, so the
-    first miss ("cross-check") is the witness a full cross-check would find:
-    the smallest value of the symmetric difference of the two bounded value
-    sets that the other side's set lacks, from the first profile's values
-    when one qualifies, else from the second's.  Reports equal ("alignment")
-    only when every start of each side is aligned into the other, a complete
-    proof; otherwise unknown ("unaligned") at the checked bound.
+    limit as the witness.  A side's bounded values are its finite part plus
+    its tail values up to step ``t_max``, keyed by floor(v K), K the larger
+    _key_scale of the two monoids at ``t_max``.  The witness ("cross-check")
+    is the one a full cross-check would find: the smallest value of the
+    symmetric difference of the two bounded value sets that the other
+    side's set lacks, from the first profile's values when one qualifies,
+    else from the second's.  The first profile's smallest values are walked
+    first, until one is not a finite value of the second; that settles the
+    verdict when the second set lacks it (see _first_side_witness).  Else
+    each start is aligned, and only the values the alignments leave are
+    cross-checked: aligned values from step t0 on lie in the other set.
+    Reports equal ("alignment") only when every start of each side is
+    aligned into the other, a complete proof; otherwise unknown
+    ("unaligned") at the checked bound.
 
     Raises IndexOutOfRange for a negative ``t_max``, and TableTooLarge when
     the tail values to cross-check, (starts of both sides) * (t_max + 1),
@@ -405,6 +445,9 @@ def compare_built_profiles(
     if p1.limit != p2.limit:
         return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None, "limits")
     K = max(_key_scale(p1.monoid, t_max), _key_scale(p2.monoid, t_max))
+    witness = _first_side_witness(p1, p2, K, t_max)
+    if witness is not None:
+        return ComparisonVerdict("not_equal", witness, t_max, None, "cross-check")
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
     left1 = _unaligned_values(p1, forward, K, t_max)

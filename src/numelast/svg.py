@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from math import ulp
 
 WIDTH = 800
 HEIGHT = 600
@@ -37,8 +38,9 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
         x0, x_lo, x_hi, y_lo, y_hi = 0, 0, 1, 0.0, 1.0
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    if y_lo == y_hi:  # widen by half a unit, or by a float step where the half rounds away
+        pad = max(0.5, ulp(y_lo))
+        y_lo, y_hi = y_lo - pad, y_hi + pad
 
     span_x = x_hi - x_lo
     span_y = y_hi - y_lo

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,7 +188,7 @@ def test_readme_cli_examples(capsys):
         line.split("#", 1) for line in block.splitlines()
         if line.startswith(("numelast recover ", "numelast compare "))
     ]
-    assert len(examples) == 3
+    assert len(examples) == 4
     for command, comment in examples:
         code, out, _ = run(capsys, *command.split()[1:])
         assert code == 0 and out.splitlines()[0] == comment.strip(), command
@@ -198,6 +199,8 @@ def test_readme_cli_examples(capsys):
     ("4,5,6", "8,9,11,12", ["UNKNOWN bound=50"]),
     # both sides have sup 5/3, so the witness comes from the smallest values
     ("3,5", "6,7,8,9,10", ["NOT_EQUAL witness=6/5", "arithmetical: NOT_EQUAL"]),
+    # found among the smallest values of the first side, before any alignment
+    ("211,307,401", "211,308,401", ["NOT_EQUAL witness=57/53"]),
 ])
 def test_compare_output_lines(capsys, gens1, gens2, lines):
     code, out, _ = run(capsys, "compare", gens1, gens2)
@@ -395,8 +398,9 @@ def _reference_svg(points, *, title=""):
         x_lo, x_hi, y_lo, y_hi = 0, 1, 0.0, 1.0
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1, x_hi + 1
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    if y_lo == y_hi:  # one float step where half a unit rounds away
+        pad = max(0.5, math.ulp(y_lo))
+        y_lo, y_hi = y_lo - pad, y_hi + pad
 
     def fmt(value):
         return f"{value:.2f}"
@@ -476,12 +480,17 @@ def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
 
 
 def test_plot_past_int64_matches_reference(capsys):
-    # each x past 2**63 is held as its offset from the first point's
+    # each x past 2**63 is held as its offset from the first point's; every
+    # M here is one float near 3.3e18 and every m one near 2e18, where
+    # widening the y axis by half a unit rounds back to a zero span
     lo, hi = 10**19, 10**19 + 5
-    code, out, _ = run(capsys, "plot", "3,5", "--from", str(lo), "--to", str(hi))
-    assert code == 0
-    assert out == _reference_output((3, 5), lo, hi, "rho")
-    assert f">{lo}</text>" in out and f">{hi}</text>" in out
+    for kind in ("rho", "maxlen", "minlen"):
+        code, out, _ = run(capsys, "plot", "3,5", "--from", str(lo), "--to", str(hi), "--kind", kind)
+        assert code == 0
+        assert out == _reference_output((3, 5), lo, hi, kind)
+        assert f">{lo}</text>" in out and f">{hi}</text>" in out
+        # one y value sits mid-axis, as a small one does
+        assert kind == "rho" or out.count('cy="300.00"') == 6
 
 
 def test_closed_stdout_exits_0():

@@ -10,11 +10,14 @@ library's certificate holds one alignment per distinct tail start; expanded
 to every residue class, the verdicts must agree field by field.
 """
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,12 +34,14 @@ from numelast import (
     min_length,
     new_monoid,
 )
+import numelast.profile
 from numelast.profile import _align_sequences
 
 import oracles
 from profile_helpers import _CountingLines, _same_limit_pairs, columns
 
 T_MAX = 50
+PAIRS = Path(__file__).resolve().parents[1] / "perfbench" / "pairs.json"
 
 
 def _candidates(profile, t_max):
@@ -162,6 +167,55 @@ def test_verdicts_match_reference_on_fixtures():
             )
             outcomes.add(verdict.outcome)
     assert outcomes == {"equal", "not_equal", "unknown"}
+
+
+def test_verdict_digest_is_pinned():
+    # every verdict, certificates included, over the benchmark's pool and
+    # tier pairs both ways; a change to this digest needs a stated reason
+    pairs = json.loads(PAIRS.read_text())
+    profile = cache(lambda gens: build_profile(new_monoid(gens)))
+    digest = hashlib.sha256()
+    for gens1, gens2, _ in pairs["pool"] + pairs["tier"]:
+        p1, p2 = profile(tuple(gens1)), profile(tuple(gens2))
+        for x, y in ((p1, p2), (p2, p1)):
+            v = compare_built_profiles(x, y)
+            digest.update(repr((v.outcome, v.witness, v.checked_bound, v.certificate)).encode())
+    assert digest.hexdigest() == "d1927da8deeee056234f55c5d6ae3e34d4c4759d85c86329b0564f91c4d71b23"
+
+
+def test_smallest_values_decide_without_alignment(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the alignment ran")
+
+    monkeypatch.setattr(numelast.profile, "_align_sequences", refuse)
+    monkeypatch.setattr(numelast.profile, "_unaligned_values", refuse)
+    verdict = compare_profiles(new_monoid([211, 307, 401]), new_monoid([211, 308, 401]))
+    assert (verdict.outcome, verdict.witness, verdict.reason) == (
+        "not_equal", Fraction(57, 53), "cross-check"
+    )
+
+
+def test_alignment_runs_only_when_the_smallest_values_do_not_decide(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _align_sequences(*args)
+
+    monkeypatch.setattr(numelast.profile, "_align_sequences", counted)
+    paths = Counter()
+    for S1, S2 in _same_limit_pairs(seed=25, count=24, scaled=6):
+        calls.clear()
+        verdict = compare_built_profiles(build_profile(S1), build_profile(S2))
+        assert _expanded(verdict, S1, S2) == reference_verdict(S1, S2), (S1, S2)
+        paths["aligned" if calls else "smallest values"] += 1
+    assert paths["aligned"] > 0 and paths["smallest values"] > 0, paths
+    # the walk stops at 8/7, a tail value of <9,13> and no finite one, so the
+    # full path finds the witness 41/30 further up
+    calls.clear()
+    S1, S2 = new_monoid([9, 11, 12, 13]), new_monoid([9, 13])
+    verdict = compare_built_profiles(build_profile(S1), build_profile(S2))
+    assert (verdict.outcome, verdict.witness) == ("not_equal", Fraction(41, 30)) and calls
 
 
 def test_alignment_matches_slope_walk_oracle():
