@@ -8,7 +8,8 @@ of two elasticity sets), profile (JSON tail decomposition), verify
 test suite).
 
 stats and profile stream their output, so memory does not grow with the
-range or the period; plot holds 16 bytes a point, as its axes come first.
+range or the period; plot holds 16 bytes a point, as its axes come first,
+and refuses a range of more than TABLE_LIMIT integers before any work.
 A reader that closes stdout early ends them quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
@@ -31,9 +32,11 @@ from itertools import chain, islice
 from math import gcd
 
 from . import arithmetical as ar
-from .errors import InternalInconsistency, MonoidError
+from .errors import InternalInconsistency, MonoidError, TableTooLarge
 from .lengths import iter_lengths
-from .monoid import WRITE_CHUNK, NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
+from .monoid import (
+    TABLE_LIMIT, WRITE_CHUNK, NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
+)
 from .profile import T_MAX, build_profile, compare_profiles, profile_json_pieces
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
@@ -60,15 +63,11 @@ def _default_range(S: NumericalMonoid) -> tuple[int, int]:
     return 0, base + 10 * period
 
 
-def _lengths(args) -> tuple[NumericalMonoid, Iterator[tuple[int, int, int]]]:
-    """The monoid and its (n, M(n), m(n)) rows over the requested range."""
+def _range(args) -> tuple[NumericalMonoid, int, int]:
+    """The monoid and the requested range [lo, hi]."""
     S = _parse_generators(args.generators)
     lo, hi = _default_range(S)
-    return S, iter_lengths(
-        S,
-        lo if args.start is None else args.start,
-        hi if args.stop is None else args.stop,
-    )
+    return S, lo if args.start is None else args.start, hi if args.stop is None else args.stop
 
 
 def _write_chunks(handle, pieces: Iterable[str]) -> None:
@@ -126,7 +125,7 @@ def _json_array(items: Iterator[str]) -> Iterator[str]:
 
 
 def cmd_stats(args) -> int:
-    _, lengths = _lengths(args)
+    lengths = iter_lengths(*_range(args))
     if args.format == "csv":
         pieces = chain((CSV_HEADER + "\n",), _stats_rows(lengths, CSV_ROW))
     else:
@@ -135,7 +134,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    S, lengths = _lengths(args)
+    S, lo, hi = _range(args)
+    if (count := hi - max(lo, 0) + 1) > TABLE_LIMIT:
+        raise TableTooLarge(f"a plot of {count} integers exceeds the limit {TABLE_LIMIT}")
+    lengths = iter_lengths(S, lo, hi)
     if args.kind == "rho":
         points = ((n, big / small if n else 1.0) for n, big, small in lengths)
     elif args.kind == "maxlen":

@@ -17,11 +17,14 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import EnumerationLimitExceeded, NoSubcollection, NotInMonoid
 from .monoid import NumericalMonoid, window_tables
 
-#: factorizations() refuses elements with n * g_1 above this product.
+#: factorizations() refuses, before any work, an n with n * g_1 above this,
+#: or with more candidate exponent vectors (e_2, ..., e_k), at most
+#: C(floor(n/g_2) + k - 1, k - 1), than this.
 ENUMERATION_LIMIT = 10**7
 
 
@@ -51,17 +54,23 @@ def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
 
     Empty iff n is not in the monoid; n = 0 gives the zero vector.  Ordered
     lexicographically descending in the exponent of the largest generator
-    (then recursively), so output is deterministic.
+    (then recursively), so output is deterministic.  Raises
+    EnumerationLimitExceeded, before any work, past ENUMERATION_LIMIT.
     """
     if n < 0:
         return []
-    if n * S.g1 > ENUMERATION_LIMIT:
+    gens, k = S.generators, len(S.generators)
+    # the recursion visits every (e_2, ..., e_k) with sum e_i g_i <= n: at
+    # most C(n // g_2 + k - 1, k - 1) of them, as each g_i >= g_2
+    if n * gens[0] > ENUMERATION_LIMIT or (
+        k > 1 and comb(n // gens[1] + k - 1, k - 1) > ENUMERATION_LIMIT
+    ):
         raise EnumerationLimitExceeded(
-            f"n={n} exceeds the enumeration guard ({ENUMERATION_LIMIT}/g_1)"
+            f"n={n} exceeds the enumeration guard ({ENUMERATION_LIMIT}/g_1, "
+            f"or {ENUMERATION_LIMIT} exponent vectors)"
         )
-    gens = S.generators
     out: list[Factorization] = []
-    expo = [0] * len(gens)
+    expo = [0] * k
 
     def descend(i: int, rem: int) -> None:
         if i == 0:
@@ -75,7 +84,7 @@ def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
             descend(i - 1, rem - e * g)
         expo[i] = 0
 
-    descend(len(gens) - 1, n)
+    descend(k - 1, n)
     return out
 
 

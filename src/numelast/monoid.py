@@ -41,7 +41,8 @@ MAX_GENERATOR = 10**6
 #: Most window entries of M and m together, 2 ((g_k - 1) g_{k-1} + 1), one
 #: monoid may take: it bounds the breakpoints (at most one per entry) and, by
 #: profile._pair_codes, keeps every length below 2**31.  Larger monoids raise
-#: TableTooLarge before any work; compare_built_profiles bounds its tail values by it.
+#: TableTooLarge before any work.  compare_built_profiles bounds its tail values
+#: by it, and the plot command the integers of its range (16 bytes a point).
 TABLE_LIMIT = 10**7
 
 #: Least number of entries in one chunk of length columns, and of pieces in
@@ -246,23 +247,6 @@ def _column(breaks, mod: int, sign: int, top: int, a: int, b: int):
     return column
 
 
-def _fill(gens, limit: int) -> tuple[list, list, int]:
-    """The breakpoints of M (mod g_1) and of m (mod g_k) over the sorted
-    ``gens`` for n = 0..limit, and the largest n up to limit that is no
-    combination of them (-1 if none)."""
-    g1 = gens[0]
-    longest = _breakpoints(g1, gens[1:], limit, -1)
-    shortest = _breakpoints(gens[-1], gens[:-1], limit, 1)
-    # a class mod g_1 has its last gap one step below its first element, or
-    # at its last entry up to limit when it has none (which only a wrong
-    # fill shows over a window, and the window check then catches)
-    last = max(
-        ramps[0][0] if ramps else limit + 1 + (r - limit - 1) % g1
-        for r, ramps in enumerate(longest)
-    )
-    return longest, shortest, last - g1
-
-
 class WindowTables:
     """M(n), m(n) and the Frobenius number of one monoid, from breakpoints.
 
@@ -272,10 +256,12 @@ class WindowTables:
     (g_k - 1) g_{k-1} >= (g_k - 1) g_1 >= (g_1 - 1) g_k.  So within each
     class mod g_1, M is a ramp, rising by one per step of g_1, that
     restarts at finitely many breakpoints up to limit, and likewise m mod
-    g_k.  The constructor finds both sets (``max_breaks`` mod g_1 and
-    ``min_breaks`` mod g_k, as _breakpoints returns them), at most limit + 1
-    breakpoints each, so the table budget bounds their number; the first
-    breakpoint of each class mod g_1 is its Apery element.  A length query
+    g_k.  The constructor runs both _breakpoints passes itself
+    (``max_breaks`` mod g_1 and ``min_breaks`` mod g_k), at most limit + 1
+    breakpoints each, so the table budget bounds their number.  It checks
+    that every class of either modulus has one, and takes the Frobenius
+    number as the largest first breakpoint mod g_1 (the Apery set) minus
+    g_1, which must lie more than g_k below the window's end.  A length query
     reads its class's last breakpoint when n is at or past it, else
     bisects that class's breakpoints.  A row scan reads :meth:`columns`,
     written from the same breakpoints one chunk at a time and not kept.
@@ -295,13 +281,16 @@ class WindowTables:
                 f"{2 * (limit + 1)} entries, above the limit {TABLE_LIMIT}"
             )
         self.g1, self.gk, self.limit = g1, gk, limit
-        self.max_breaks, self.min_breaks, self.frobenius = _fill(generators, limit)
-        # When the Frobenius number F lies below the last g_k entries of the
-        # window, those are g_k >= g_1 members in a row, so every class mod
-        # g_1 and mod g_k has a breakpoint up to limit and every query is
-        # answered from one.  Schur's bound F <= (g_1 - 1)(g_k - 1) - 1
-        # gives F + g_k <= g_1 (g_k - 1) <= limit, so only a wrong fill
-        # fails this check.
+        self.max_breaks = _breakpoints(g1, generators[1:], limit, -1)
+        self.min_breaks = _breakpoints(gk, generators[:-1], limit, 1)
+        # Schur's bound F <= (g_1 - 1)(g_k - 1) - 1 on the Frobenius number
+        # gives F + g_k <= g_1 (g_k - 1) <= limit: the last g_k entries of the
+        # window are g_k >= g_1 members in a row, so every class mod g_1 and
+        # mod g_k has a breakpoint up to limit and every query is answered
+        # from one.  Only a wrong fill fails these checks.
+        if not (all(self.max_breaks) and all(self.min_breaks)):
+            raise InternalInconsistency(f"membership gap inside the window of {generators}")
+        self.frobenius = max(ramps[0][0] for ramps in self.max_breaks) - g1
         if self.frobenius + gk > limit:
             raise InternalInconsistency(f"membership gap inside the window of {generators}")
 

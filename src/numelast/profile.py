@@ -307,7 +307,6 @@ def _align_sequences(
     # always found: n = c g_1 g_k in the window has M(n) = n/g_1, m(n) = n/g_k
     constant_target = next(j for (M1, m1), j in dst.starts.items() if M1 * gp == m1 * Gp)
     lines = dst.lines
-    top = next(reversed(lines), 0)
     out: list[SequenceAlignment | None] = []
     for (M0, m0), i in src.starts.items():
         J0 = G * m0 - g * M0
@@ -320,9 +319,6 @@ def _align_sequences(
         # b_num = g m0 J1 - g' m1 J0 = beta g'^2 J0.
         scaled = gp * gp * J0
         step = scaled // gcd(scaled, g * g)
-        if step > top:  # no target line is a multiple of step
-            out.append(None)
-            continue
         best = None  # (target, alpha, beta, t0) of the fit of smallest first class
         for J1 in _lines_divisible_by(lines, step):
             line, alpha = lines[J1], J1 * g * g // scaled

@@ -131,11 +131,31 @@ def test_plot_trivial_monoid_flat(capsys):
     assert len(heights) == 1  # every point at elasticity 1
 
 
-def test_recover_examples(capsys):
+def test_plot_refuses_a_range_over_the_table_limit(capsys, tmp_path):
+    # 10**7 + 1 points would take 16 bytes each before the first write:
+    # refused as too large (exit 2) before any table is built or file opened
+    numelast.monoid.window_tables.cache_clear()
+    args = ("plot", "3,5", "--from", "0", "--to", "10000000")
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == "" and "10000001 integers" in err
+    target = tmp_path / "plot.svg"
+    code, out, _ = run(capsys, *args, "--output", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert numelast.monoid.window_tables.cache_info().currsize == 0
+
+
+def test_recover_examples(capsys, monkeypatch):
     code, out, _ = run(capsys, "recover", "7,12,17,22")
     assert code == 0 and out == "d=5 a/k=7/3 sup=22/7\n"
     code, out, _ = run(capsys, "recover", "3,5")
     assert code == 0 and out == "d=2 a/k=3/1 sup=5/3\n"
+    # a recovered step that disagrees with the generators is a library
+    # fault: the recovered line is still printed, then exit 1
+    recover_d = numelast.arithmetical.recover_d
+    monkeypatch.setattr(numelast.arithmetical, "recover_d", lambda f, g: recover_d(f, g) + 1)
+    code, out, err = run(capsys, "recover", "7,12,17,22")
+    assert code == 1 and out.startswith("d=6 a/k=")
+    assert "recovered values disagree with the generators" in err
 
 
 def test_recover_not_arithmetical(capsys):
@@ -224,20 +244,36 @@ def test_profile_subcommand(capsys, tmp_path):
         assert target.read_text() == expected
 
 
+# Wrong fills of one table pass of WindowTables: (sign of the pass, change
+# to its breakpoints).  They are an empty class mod g_1, an empty class mod
+# g_k, and an Apery element at the window's last entry.
+WRONG_FILLS = [
+    (-1, lambda breaks, limit: breaks[-1].clear()),
+    (1, lambda breaks, limit: breaks[-1].clear()),
+    (-1, lambda breaks, limit: breaks.__setitem__(limit % len(breaks), [(limit, 0)])),
+]
+
+
 def test_profile_internal_inconsistency_exits_1(capsys, monkeypatch):
     # a broken window invariant is a library fault (exit 1), not bad input
-    # (2): a fill that reports a gap at the window's last entry fails the
-    # window check of WindowTables
-    fill = numelast.monoid._fill
-    monkeypatch.setattr(
-        numelast.monoid, "_fill", lambda gens, limit: (*fill(gens, limit)[:2], limit)
-    )
-    numelast.monoid.window_tables.cache_clear()
-    code, out, err = run(capsys, "profile", "3,5")
-    assert code == 1 and out == "" and "error" in err
-    assert "membership gap inside the window" in err
-    code, _, _ = run(capsys, "profile", "1")
-    assert code == 2  # <1> has no tails: still an input error
+    # (2): each wrong fill fails the window check of WindowTables.  A table
+    # pass is told from new_monoid's by a limit above its largest part.
+    passes = numelast.monoid._breakpoints
+    for wrong_sign, wrong in WRONG_FILLS:
+
+        def breakpoints(mod, parts, limit, sign, wrong_sign=wrong_sign, wrong=wrong):
+            breaks = passes(mod, parts, limit, sign)
+            if sign == wrong_sign and parts and limit > parts[-1]:
+                wrong(breaks, limit)
+            return breaks
+
+        monkeypatch.setattr(numelast.monoid, "_breakpoints", breakpoints)
+        numelast.monoid.window_tables.cache_clear()
+        code, out, err = run(capsys, "profile", "3,5")
+        assert code == 1 and out == "" and "error" in err
+        assert "membership gap inside the window" in err
+        code, _, _ = run(capsys, "profile", "1")
+        assert code == 2  # <1> has no tails: still an input error
 
 
 def test_profile_refuses_int64_columns_exits_1(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -70,6 +71,21 @@ def test_enumeration_guard():
     with pytest.raises(EnumerationLimitExceeded):
         factorizations(S, ENUMERATION_LIMIT // S.g1 + 1)
     assert factorizations(S, 100)  # default limit admits desk-scale elements
+
+
+def test_enumeration_guard_bounds_the_exponent_vectors():
+    # n g_1 is far below the limit, but the recursion would visit up to
+    # C(800 // 7 + 5, 5) = 182,637,273 exponent vectors: refused at once
+    S = new_monoid([6, 7, 8, 9, 10, 11])
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitExceeded):
+        factorizations(S, 800)
+    with pytest.raises(EnumerationLimitExceeded):
+        length_set(S, 800)
+    assert time.perf_counter() - start < 1
+    # <3,4,5> admits n = 17,883 (C(4472, 2) vectors) and refuses n = 17,884
+    with pytest.raises(EnumerationLimitExceeded):
+        factorizations(new_monoid([3, 4, 5]), 17884)
 
 
 def test_oracles_agree_with_each_other():

@@ -96,14 +96,21 @@ def test_sequences_cover_window_and_members():
 
 
 def test_window_check_survives_optimize_flag():
-    # under python -O a fill that reports a gap at the window's last entry
-    # must still raise the typed error, not slip through a stripped assert
+    # under python -O a table pass that puts an Apery element at the
+    # window's last entry must still raise the typed error, not slip
+    # through a stripped assert; new_monoid's pass, whose limit is its
+    # largest part, is left alone
     code = (
         "import sys\n"
         "from numelast import InternalInconsistency, build_profile, new_monoid\n"
         "monoid = sys.modules['numelast.monoid']\n"
-        "fill = monoid._fill\n"
-        "monoid._fill = lambda gens, limit: (*fill(gens, limit)[:2], limit)\n"
+        "passes = monoid._breakpoints\n"
+        "def breakpoints(mod, parts, limit, sign):\n"
+        "    breaks = passes(mod, parts, limit, sign)\n"
+        "    if sign < 0 and limit > parts[-1]:\n"
+        "        breaks[limit % mod] = [(limit, 0)]\n"
+        "    return breaks\n"
+        "monoid._breakpoints = breakpoints\n"
         "monoid.window_tables.cache_clear()\n"
         "try:\n"
         "    build_profile(new_monoid([3, 5]))\n"
