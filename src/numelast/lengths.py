@@ -14,7 +14,7 @@ breakpoint and class, and not kept.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -49,16 +49,15 @@ class LengthStats:
     elasticity: Fraction
 
 
-def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
-    """All exponent vectors expressing ``n`` over the generators.
-
-    Empty iff n is not in the monoid; n = 0 gives the zero vector.  Ordered
-    lexicographically descending in the exponent of the largest generator
-    (then recursively), so output is deterministic.  Raises
-    EnumerationLimitExceeded, before any work, past ENUMERATION_LIMIT.
-    """
+def _visit_factorizations(
+    S: NumericalMonoid, n: int, visit: Callable[[list[int]], object]
+) -> None:
+    """Calls ``visit`` with each exponent vector expressing ``n`` over the
+    generators, in the order of :func:`factorizations`, as one list that is
+    rewritten in place between calls.  Raises EnumerationLimitExceeded,
+    before any work, past ENUMERATION_LIMIT."""
     if n < 0:
-        return []
+        return
     gens, k = S.generators, len(S.generators)
     # the recursion visits every (e_2, ..., e_k) with sum e_i g_i <= n: at
     # most C(n // g_2 + k - 1, k - 1) of them, as each g_i >= g_2
@@ -69,14 +68,13 @@ def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
             f"n={n} exceeds the enumeration guard ({ENUMERATION_LIMIT}/g_1, "
             f"or {ENUMERATION_LIMIT} exponent vectors)"
         )
-    out: list[Factorization] = []
     expo = [0] * k
 
     def descend(i: int, rem: int) -> None:
         if i == 0:
             if rem % gens[0] == 0:
                 expo[0] = rem // gens[0]
-                out.append(Factorization(tuple(expo)))
+                visit(expo)
             return
         g = gens[i]
         for e in range(rem // g, -1, -1):
@@ -85,15 +83,31 @@ def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
         expo[i] = 0
 
     descend(k - 1, n)
+
+
+def factorizations(S: NumericalMonoid, n: int) -> list[Factorization]:
+    """All exponent vectors expressing ``n`` over the generators.
+
+    Empty iff n is not in the monoid; n = 0 gives the zero vector.  Ordered
+    lexicographically descending in the exponent of the largest generator
+    (then recursively), so output is deterministic.  Raises
+    EnumerationLimitExceeded, before any work, past ENUMERATION_LIMIT.
+    """
+    out: list[Factorization] = []
+    _visit_factorizations(S, n, lambda expo: out.append(Factorization(tuple(expo))))
     return out
 
 
 def length_set(S: NumericalMonoid, n: int) -> set[int]:
-    """The set of factorization lengths of ``n``; raises if n is outside S."""
-    facs = factorizations(S, n)
-    if not facs:
+    """The set of factorization lengths of ``n``; raises if n is outside S.
+
+    Collects each vector's length as the enumeration reaches it, with the
+    guard of :func:`factorizations`, and keeps no vector."""
+    lengths: set[int] = set()
+    _visit_factorizations(S, n, lambda expo: lengths.add(sum(expo)))
+    if not lengths:
         raise NotInMonoid(f"{n} is not in {S}")
-    return {f.length for f in facs}
+    return lengths
 
 
 def max_length(S: NumericalMonoid, n: int) -> int:

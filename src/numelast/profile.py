@@ -14,11 +14,20 @@ Sequences with the same start take the same values, and there are far fewer
 starts than classes (321 for the 3131 of <31,57,73,101>), so a certificate
 holds one entry per start, naming the sequence a scan of every class would.
 
-A build reads the length columns once.  Each row's pair (M, m) becomes one
-64-bit code, M 2**32 + m, formed in C by writing the two int32 columns into
-the halves of one buffer (see _pair_codes); only the first n of each
-distinct code is kept, and values, starts and lines are computed once per
-distinct pair (6405 of them for the 207717 rows of <211,307,401>).
+A build reads the length columns once, and not past the point where the
+pairs repeat.  From the largest last breakpoint N0 of either modulus on,
+M(n + g_1) = M(n) + 1 and m(n + g_k) = m(n) + 1, so the pair (M, m) of
+n + period is that of n plus (g_k, g_1).  With lo = base - c period, the
+lowest point at or past N0 a whole number c of periods below base, a build
+reads [1, lo) and the one period [lo, lo + period), and derives the rest:
+the starts at base are those at lo shifted by c periods, and the pairs of
+[lo + period, base + period) are each start's steps 1..c.  Each row's pair
+becomes one 64-bit code, M 2**32 + m, formed in C by writing the two int32
+columns into the halves of one buffer (see _pair_codes); only the first n
+of each distinct code is kept, and values, starts and lines are computed
+once per distinct pair.  <211,307,401> has N0 = 16386 and c = 1, so its
+build reads 123106 rows and keeps 3727 codes, where a scan up to
+base + period would read 207717 rows and keep 6405.
 
 The finite part is kept in integers: each value M/m, with the lengths of its
 smallest witness, under its exact key floor(M K / m), K = _key_scale(S, 0),
@@ -55,7 +64,13 @@ from math import gcd
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
 from .lengths import iter_length_columns, iter_lengths, max_length, min_length
-from .monoid import TABLE_LIMIT, NumericalMonoid, detect_arithmetical, max_elasticity
+from .monoid import (
+    TABLE_LIMIT,
+    NumericalMonoid,
+    detect_arithmetical,
+    max_elasticity,
+    window_tables,
+)
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
@@ -195,30 +210,46 @@ def _first_codes(S: NumericalMonoid, lo: int, hi: int) -> dict[int, int]:
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     """Finite part, tail starts and tail lines of the monoid's elasticity set.
 
-    Reads the length columns over [1, base) and [base, base + period) and
-    keeps the first n of each distinct pair (M, m) in each, as one 64-bit
-    code formed in C; values, starts and lines are then computed once per
-    pair, from the pair the code decodes to.  Window pairs come first and
-    each range's pairs in increasing n, so the first pair of a value gives
-    its smallest witness, and a line lists its starts in ``starts`` order."""
+    Reads the length columns over [1, lo) and [lo, lo + period) only, with
+    lo = base - c period, c = max((base - N0) // period, 0) and N0 the
+    largest last breakpoint of either modulus: past N0 a pair grows by
+    (g_k, g_1) each period, so the starts at base are those at lo shifted
+    by c periods, with the same first classes, and the pairs of
+    [lo + period, base + period) are each start's steps 1..c.  Keeps the
+    first n of each distinct pair in each range, as one 64-bit code formed
+    in C; values, starts and lines are then computed once per pair.  The
+    finite part takes the pairs in increasing n (the window's, then the
+    period's at steps 0..c), so the first pair of a value gives its
+    smallest witness, and a line lists its starts in ``starts`` order."""
     if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
-    window, tail = _first_codes(S, 1, base), _first_codes(S, base, base + period)
+    tables = window_tables(S.generators)
+    N0 = max(ramps[-1][0] for ramps in chain(tables.max_breaks, tables.min_breaks))
+    c = max((base - N0) // period, 0)
+    lo = base - c * period
+    window, tail = _first_codes(S, 1, lo), _first_codes(S, lo, lo + period)
+    shift = gk * _HALF + g1  # a code's growth per period past N0
+    # the pairs of [lo + period, base + period): the period's, t = 1..c periods on
+    later = [
+        zip(map((t * shift).__add__, tail), map((t * period).__add__, tail.values()))
+        for t in range(1, c + 1)
+    ]
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
-    for code, n in chain(window.items(), tail.items()):
+    for code, n in chain(window.items(), tail.items(), *later):
         big, small = divmod(code, _HALF)
         finite.setdefault(big * K // small, (big, small, n))
     starts: dict[tuple[int, int], int] = {}
     lines: dict[int, tuple[int, ...]] = {}
+    lift = c * shift
     for code, n in tail.items():
-        big, small = divmod(code, _HALF)
-        starts[big, small] = n - base
+        big, small = divmod(code + lift, _HALF)
+        starts[big, small] = n - lo
         J = gk * small - g1 * big
         if J:
-            lines[J] = lines.get(J, ()) + (small, n - base)
+            lines[J] = lines.get(J, ()) + (small, n - lo)
     return ElasticityProfile(
         S, base, period, dict(sorted(finite.items())), K, starts, dict(sorted(lines.items()))
     )

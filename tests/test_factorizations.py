@@ -1,7 +1,9 @@
 import random
 import time
+import tracemalloc
 import types
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -104,6 +106,36 @@ def test_length_set_examples():
     assert length_set(S357, 0) == {0}
     with pytest.raises(NotInMonoid):
         length_set(S357, 4)
+
+
+def test_length_set_keeps_no_factorization():
+    # the lengths of every vector, as factorizations lists them, on seeded
+    # monoids of 2 to 4 generators below 30, members or not
+    rng = random.Random(28)
+    monoids = []
+    while len(monoids) < 40:
+        raw = rng.sample(range(2, 30), rng.randint(2, 4))
+        if gcd(*raw) == 1:
+            monoids.append(new_monoid(raw))
+    for S in monoids:
+        for n in rng.sample(range(0, 400), 12):
+            lengths = {f.length for f in factorizations(S, n)}
+            if lengths:
+                assert length_set(S, n) == lengths, (S, n)
+            else:
+                with pytest.raises(NotInMonoid):
+                    length_set(S, n)
+    # <3,4,5> at n = 3000: 401 lengths over some 10^5 vectors, which a list
+    # of Factorization objects held in over 13 MB
+    S = new_monoid([3, 4, 5])
+    tracemalloc.start()
+    try:
+        lengths = length_set(S, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == set(range(600, 1001))
+    assert peak < 10**6
 
 
 def test_length_set_four_six_exists():

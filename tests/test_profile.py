@@ -69,6 +69,67 @@ def test_build_profile_matches_row_scan_oracle():
         assert list(prof.starts.items()) == list(starts.items()), S
         assert list(prof.lines.items()) == list(lines.items()), S
     assert {len(S.generators) for S in monoids} == {2, 3, 4, 5, 6}
+    # the build shifts one period by c = 0, 1 and at least 2 periods
+    shifts = {shifted_periods(S) for S in monoids}
+    assert {0, 1} <= shifts and max(shifts) >= 2
+    examples = (3, 5), (101, 157, 203), (7, 12, 17, 22)
+    assert [shifted_periods(new_monoid(gens)) for gens in examples] == [0, 1, 2]
+
+
+def last_breakpoint(S):
+    """N0, the largest last breakpoint over the classes of both moduli."""
+    tables = window_tables(S.generators)
+    return max(ramps[-1][0] for ramps in tables.max_breaks + tables.min_breaks)
+
+
+def shifted_periods(S):
+    """c, the whole periods between the monoid's largest last breakpoint N0
+    and base: a build reads [1, base - c period + period) and derives the
+    rows up to base + period by shifting."""
+    base, period = S.generators[-2] * S.gk, S.g1 * S.gk
+    return max((base - last_breakpoint(S)) // period, 0)
+
+
+def test_recurrences_hold_from_the_last_breakpoint():
+    # the shift rests on M(n + g_1) = M(n) + 1 and m(n + g_k) = m(n) + 1 for
+    # every n >= N0, checked here against exhaustive enumeration; and at N0,
+    # a breakpoint, the recurrence of its own modulus fails: N0 - g_1 is no
+    # member or M jumps by more than 1, or N0 - g_k is no member or m rises
+    # by less than 1
+    rng = random.Random(28)
+    monoids = [new_monoid(gens) for gens in ((3, 5), (7, 12, 17, 22), (4, 9, 11))]
+    while len(monoids) < 30:
+        raw = [rng.randrange(2, 25) for _ in range(rng.randint(2, 4))]
+        if gcd(*raw) == 1 and len(new_monoid(raw).generators) > 1:
+            monoids.append(new_monoid(raw))
+    for S in monoids:
+        g1, gk, N0 = S.g1, S.gk, last_breakpoint(S)
+        end = N0 + 2 * g1 * gk
+        maxs, mins = oracles.length_arrays(S.generators, end + gk)
+        for n in range(N0, end + 1):
+            assert (maxs[n + g1], mins[n + gk]) == (maxs[n] + 1, mins[n] + 1), (S, n)
+        tables = window_tables(S.generators)
+        if tables.max_breaks[N0 % g1][-1][0] == N0:
+            assert N0 < g1 or maxs[N0 - g1] < 0 or maxs[N0] > maxs[N0 - g1] + 1, S
+        if tables.min_breaks[N0 % gk][-1][0] == N0:
+            assert N0 < gk or maxs[N0 - gk] < 0 or mins[N0] < mins[N0 - gk] + 1, S
+
+
+def test_build_profile_reads_from_the_last_breakpoint(monkeypatch):
+    # <211,307,401>: N0 = 16,386, so c = 1 and lo = base - period = 38,496;
+    # the build reads lo + period - 1 = 123,106 rows, not base + period - 1
+    columns, rows = numelast.profile.iter_length_columns, []
+
+    def counted(S, lo, hi):
+        for chunk in columns(S, lo, hi):
+            rows.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", counted)
+    prof = build_profile(new_monoid([211, 307, 401]))
+    assert shifted_periods(prof.monoid) == 1
+    assert prof.base + prof.period - 1 == 207_717
+    assert sum(rows) == 123_106
 
 
 def test_profile_rejects_single_generator():
