@@ -17,17 +17,20 @@ holds one entry per start, naming the sequence a scan of every class would.
 A build reads the length columns once, and not past the point where the
 pairs repeat.  From the largest last breakpoint N0 of either modulus on,
 M(n + g_1) = M(n) + 1 and m(n + g_k) = m(n) + 1, so the pair (M, m) of
-n + period is that of n plus (g_k, g_1).  With lo = base - c period, the
-lowest point at or past N0 a whole number c of periods below base, a build
-reads [1, lo) and the one period [lo, lo + period), and derives the rest:
-the starts at base are those at lo shifted by c periods, and the pairs of
-[lo + period, base + period) are each start's steps 1..c.  Each row's pair
-becomes one 64-bit code, M 2**32 + m, formed in C by writing the two int32
-columns into the halves of one buffer (see _pair_codes); only the first n
-of each distinct code is kept, and values, starts and lines are computed
-once per distinct pair.  <211,307,401> has N0 = 16386 and c = 1, so its
-build reads 123106 rows and keeps 3727 codes, where a scan up to
-base + period would read 207717 rows and keep 6405.
+n + period is that of n plus (g_k, g_1).  A build reads [1, N0) and the one
+period [N0, N0 + period) in a single scan, and derives the rest.  The
+period splits at lo = base - c period, the lowest point at or past N0 a
+whole number c of periods below base: the starts at base are the pairs of
+[lo, N0 + period) shifted by c periods and those of [N0, lo) by c + 1, and
+the pairs of [N0 + period, base + period) are the period's steps 1..c and
+[N0, lo)'s step c + 1.
+Each row's pair becomes one 64-bit code, M 2**32 + m, formed in C by
+writing the two int32 columns into the halves of one buffer (see
+_pair_codes); only the first n of each distinct code in each range is
+kept, and values, starts and lines are computed once per distinct pair.
+<211,307,401> has N0 = 16386 and c = 1, so its build reads 100996 rows and
+keeps 3059 codes, where a scan up to base + period would read 207717 rows
+and keep 6405.
 
 The finite part is kept in integers: each value M/m, with the lengths of its
 smallest witness, under its exact key floor(M K / m), K = _key_scale(S, 0),
@@ -194,64 +197,86 @@ def _pair_codes(big, small) -> memoryview:
     return memoryview(pairs).cast("B").cast("q")
 
 
-def _first_codes(S: NumericalMonoid, lo: int, hi: int) -> dict[int, int]:
-    """The 64-bit code M(n) 2**32 + m(n) of _pair_codes -> the smallest n
-    in [lo, hi) with those lengths, in order of first appearance, for the
-    monoid elements n."""
-    first: dict[int, int] = {}
-    for start, big, small in iter_length_columns(S, lo, hi - 1):
+def _first_codes(S: NumericalMonoid, cuts: tuple[int, ...]) -> list[dict[int, int]]:
+    """For each range [cuts[j], cuts[j + 1]), the 64-bit code M(n) 2**32 +
+    m(n) of _pair_codes -> the smallest n in that range with those lengths,
+    in order of first appearance, for the monoid elements n.  One pass over
+    the length columns serves every range: each chunk's codes are sliced at
+    the cuts."""
+    firsts: list[dict[int, int]] = [{} for _ in cuts[1:]]
+    for start, big, small in iter_length_columns(S, cuts[0], cuts[-1] - 1):
         codes = _pair_codes(big, small)
-        deque(map(first.setdefault, codes, range(start, start + len(codes))), maxlen=0)
+        end = start + len(codes)
+        for first, a, b in zip(firsts, cuts, cuts[1:]):
+            a, b = max(a, start), min(b, end)
+            if a < b:
+                deque(map(first.setdefault, codes[a - start : b - start], range(a, b)), maxlen=0)
         del codes, big, small  # free this chunk's buffer before the next is written
-    first.pop(-1, None)  # the gap pair (-1, -1) of every n outside the monoid, all bits set
-    return first
+    for first in firsts:
+        first.pop(-1, None)  # the gap pair (-1, -1) of every n outside the monoid, all bits set
+    return firsts
 
 
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     """Finite part, tail starts and tail lines of the monoid's elasticity set.
 
-    Reads the length columns over [1, lo) and [lo, lo + period) only, with
-    lo = base - c period, c = max((base - N0) // period, 0) and N0 the
-    largest last breakpoint of either modulus: past N0 a pair grows by
-    (g_k, g_1) each period, so the starts at base are those at lo shifted
-    by c periods, with the same first classes, and the pairs of
-    [lo + period, base + period) are each start's steps 1..c.  Keeps the
-    first n of each distinct pair in each range, as one 64-bit code formed
-    in C; values, starts and lines are then computed once per pair.  The
-    finite part takes the pairs in increasing n (the window's, then the
-    period's at steps 0..c), so the first pair of a value gives its
-    smallest witness, and a line lists its starts in ``starts`` order."""
+    Reads the length columns over [1, N0) and the one period [N0, N0 +
+    period) only, N0 the largest last breakpoint of either modulus: past
+    N0 a pair grows by (g_k, g_1) each period.  With c = (base - N0) //
+    period and lo = base - c period, so N0 <= lo < N0 + period, the period
+    splits at lo: the rows n of ``late`` = [lo, N0 + period) give the
+    classes n - lo shifted by c periods, those of ``early`` = [N0, lo) the
+    classes n + period - lo shifted by c + 1.  The starts take late's pairs
+    first, then early's new ones, so each keeps its first class.  A single
+    scan keeps the first n of each distinct pair in each range, as one
+    64-bit code formed in C; values, starts and lines are then computed once
+    per pair.  The finite part takes the pairs in increasing n (the
+    window's, early's and late's, then early's and late's steps 1..c, then
+    early's step c + 1, which ends at base + period), so the first pair of a
+    value gives its smallest witness, and a line lists its starts in
+    ``starts`` order."""
     if len(S.generators) == 1:
         raise SingleGenerator("the value set of <1> is just {1}")
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
     tables = window_tables(S.generators)
+    # every breakpoint lies in the window, below base, so c >= 0
     N0 = max(ramps[-1][0] for ramps in chain(tables.max_breaks, tables.min_breaks))
-    c = max((base - N0) // period, 0)
+    c = (base - N0) // period
     lo = base - c * period
-    window, tail = _first_codes(S, 1, lo), _first_codes(S, lo, lo + period)
+    window, early, late = _first_codes(S, (1, N0, lo, N0 + period))
     shift = gk * _HALF + g1  # a code's growth per period past N0
-    # the pairs of [lo + period, base + period): the period's, t = 1..c periods on
-    later = [
-        zip(map((t * shift).__add__, tail), map((t * period).__add__, tail.values()))
-        for t in range(1, c + 1)
-    ]
+
+    def moved(first: dict[int, int], t: int) -> Iterator[tuple[int, int]]:
+        """The pairs of ``first``'s range t periods on, first n each."""
+        return zip(map((t * shift).__add__, first), map((t * period).__add__, first.values()))
+
+    # the pairs of [N0 + period, base + period) in increasing n: the period
+    # at steps 1..c, then early at step c + 1
+    steps = [moved(part, t) for t in range(1, c + 1) for part in (early, late)]
     K = _key_scale(S, 0)
     finite: dict[int, tuple[int, int, int]] = {}  # floor(M K / m) -> (M, m, smallest n)
-    for code, n in chain(window.items(), tail.items(), *later):
+    for code, n in chain(window.items(), early.items(), late.items(), *steps, moved(early, c + 1)):
         big, small = divmod(code, _HALF)
         finite.setdefault(big * K // small, (big, small, n))
-    starts: dict[tuple[int, int], int] = {}
-    lines: dict[int, tuple[int, ...]] = {}
+    # the pairs of [base, base + period), late's classes first
     lift = c * shift
-    for code, n in tail.items():
-        big, small = divmod(code + lift, _HALF)
-        starts[big, small] = n - lo
+    starts = {divmod(code + lift, _HALF): n - lo for code, n in late.items()}
+    for code, n in early.items():
+        starts.setdefault(divmod(code + lift + shift, _HALF), n + period - lo)
+    lines: dict[int, tuple[int, ...]] = {}
+    for (big, small), i in starts.items():
         J = gk * small - g1 * big
         if J:
-            lines[J] = lines.get(J, ()) + (small, n - lo)
+            lines[J] = lines.get(J, ()) + (small, i)
     return ElasticityProfile(
-        S, base, period, dict(sorted(finite.items())), K, starts, dict(sorted(lines.items()))
+        S,
+        base,
+        period,
+        {key: finite[key] for key in sorted(finite)},
+        K,
+        starts,
+        {J: lines[J] for J in sorted(lines)},
     )
 
 

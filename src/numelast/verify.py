@@ -51,11 +51,12 @@ def check_embedding_preserves_values() -> bool:
 
 
 def check_profile_decomposition() -> bool:
-    # a build reads one period from lo = base - c period, c whole periods
-    # past the last breakpoint, and shifts it c periods: the monoids cover
-    # c = 0 (<3,5>), c = 1 (<65,79,83>) and c = 2 (<7,12,17,22>,
-    # <31,57,73,101>); the period scan of <65,79,83> reads two column
-    # chunks, so the packed pair codes are checked across a chunk seam
+    # a build reads one period from the last breakpoint N0, split at
+    # lo = base - c period, c whole periods past N0: it shifts [lo, N0 +
+    # period) c periods and [N0, lo) c + 1; the monoids cover c = 0 (<3,5>),
+    # c = 1 (<65,79,83>) and c = 2 (<7,12,17,22>, <31,57,73,101>); the
+    # period scan of <65,79,83> reads two column chunks, so the packed pair
+    # codes are checked across a chunk seam
     for gens in ((3, 5), (7, 12, 17, 22), (31, 57, 73, 101), (65, 79, 83)):
         S = mo.new_monoid(gens)
         prof = pr.build_profile(S)

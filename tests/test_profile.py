@@ -23,6 +23,7 @@ from numelast import (
     compare_profiles,
     contains_elasticity,
     elasticity,
+    iter_length_columns,
     iter_lengths,
     max_length,
     min_length,
@@ -53,11 +54,13 @@ def test_build_profile_shape():
 
 
 def test_build_profile_matches_row_scan_oracle():
-    # the command-line ladder and 300 seeded monoids of 2 to 6 generators
-    # below 150; item order counts, as finite_part, starts and lines promise it
+    # the command-line ladder, <65,79,83> and 300 seeded monoids of 2 to 6
+    # generators below 150; item order counts, as finite_part, starts and
+    # lines promise it
     rng = random.Random(20)
-    monoids = [new_monoid(gens) for gens in ((7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203))]
-    while len(monoids) < 303:
+    fixed = (7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203), (65, 79, 83)
+    monoids = [new_monoid(gens) for gens in fixed]
+    while len(monoids) < 304:
         raw = [rng.randrange(2, 150) for _ in range(rng.randint(2, 6))]
         if gcd(*raw) == 1 and len(new_monoid(raw).generators) > 1:
             monoids.append(new_monoid(raw))
@@ -69,11 +72,19 @@ def test_build_profile_matches_row_scan_oracle():
         assert list(prof.starts.items()) == list(starts.items()), S
         assert list(prof.lines.items()) == list(lines.items()), S
     assert {len(S.generators) for S in monoids} == {2, 3, 4, 5, 6}
-    # the build shifts one period by c = 0, 1 and at least 2 periods
-    shifts = {shifted_periods(S) for S in monoids}
+    # the build shifts the period's early part [N0, lo) by c + 1 periods and
+    # its late part [lo, N0 + period) by c: early is non-empty at c = 0, 1
+    # and at least 2
+    splits = map(period_split, monoids)
+    shifts = {shifted_periods(S) for S, (N0, lo, _) in zip(monoids, splits) if N0 < lo}
     assert {0, 1} <= shifts and max(shifts) >= 2
     examples = (3, 5), (101, 157, 203), (7, 12, 17, 22)
     assert [shifted_periods(new_monoid(gens)) for gens in examples] == [0, 1, 2]
+    # the period scan of <65,79,83> crosses a column chunk: the first chunk,
+    # 64 g_k = 5,312 rows from n = 1, ends inside late = [1162, 6547)
+    S = new_monoid([65, 79, 83])
+    assert period_split(S) == (1152, 1162, 6547)
+    assert [start for start, _, _ in iter_length_columns(S, 1, 6546)] == [1, 5313]
 
 
 def last_breakpoint(S):
@@ -84,10 +95,17 @@ def last_breakpoint(S):
 
 def shifted_periods(S):
     """c, the whole periods between the monoid's largest last breakpoint N0
-    and base: a build reads [1, base - c period + period) and derives the
-    rows up to base + period by shifting."""
+    and base."""
     base, period = S.generators[-2] * S.gk, S.g1 * S.gk
-    return max((base - last_breakpoint(S)) // period, 0)
+    return (base - last_breakpoint(S)) // period
+
+
+def period_split(S):
+    """(N0, lo, N0 + period), lo = base - c period: a build reads [1, N0 +
+    period) and shifts early = [N0, lo) by c + 1 periods, late = [lo, N0 +
+    period) by c."""
+    N0, period = last_breakpoint(S), S.g1 * S.gk
+    return N0, S.generators[-2] * S.gk - shifted_periods(S) * period, N0 + period
 
 
 def test_recurrences_hold_from_the_last_breakpoint():
@@ -116,8 +134,10 @@ def test_recurrences_hold_from_the_last_breakpoint():
 
 
 def test_build_profile_reads_from_the_last_breakpoint(monkeypatch):
-    # <211,307,401>: N0 = 16,386, so c = 1 and lo = base - period = 38,496;
-    # the build reads lo + period - 1 = 123,106 rows, not base + period - 1
+    # <211,307,401>: N0 = 16,386 and c = 1, so lo = base - period = 38,496;
+    # the build reads N0 + period - 1 = 100,996 rows, not lo + period - 1
+    # = 123,106 or base + period - 1 = 207,717; <20,21,45> has c = 0 and
+    # reads N0 + period - 1 = 1,298 rows, not base + period - 1 = 1,844
     columns, rows = numelast.profile.iter_length_columns, []
 
     def counted(S, lo, hi):
@@ -128,8 +148,14 @@ def test_build_profile_reads_from_the_last_breakpoint(monkeypatch):
     monkeypatch.setattr(numelast.profile, "iter_length_columns", counted)
     prof = build_profile(new_monoid([211, 307, 401]))
     assert shifted_periods(prof.monoid) == 1
+    assert period_split(prof.monoid) == (16_386, 38_496, 100_997)
     assert prof.base + prof.period - 1 == 207_717
-    assert sum(rows) == 123_106
+    assert sum(rows) == 100_996
+    rows.clear()
+    prof = build_profile(new_monoid([20, 21, 45]))
+    assert shifted_periods(prof.monoid) == 0
+    assert prof.base + prof.period - 1 == 1_844
+    assert sum(rows) == 1_298
 
 
 def test_profile_rejects_single_generator():
@@ -206,12 +232,27 @@ def test_pair_code_round_trips_extreme_lengths(monkeypatch):
     codes = list(_pair_codes(big, small))
     assert [divmod(code, 2**32) for code in codes[:-1]] == pairs
     assert len(set(codes)) == len(codes)
-    # the gap pair (-1, -1) gives the one code _first_codes drops
-    monkeypatch.setattr(
-        numelast.profile, "iter_length_columns", lambda S, lo, hi: iter([(lo, big, small)])
-    )
-    first = _first_codes(S35, 100, 100 + len(codes))
-    assert first == {code: 100 + i for i, code in enumerate(codes[:-1])}
+    # the same ten rows in three chunks from n = 100, the gap pair (-1, -1),
+    # the one code _first_codes drops, last in each; one pass serves the
+    # cuts, which give an empty range at 104, as a build whose lo is N0
+    # has, one range ending at the chunk seam 110 and one crossing 120
+    calls = []
+
+    def chunks(S, lo, hi):
+        calls.append((lo, hi))
+        return iter([(start, big, small) for start in (100, 110, 120)])
+
+    monkeypatch.setattr(numelast.profile, "iter_length_columns", chunks)
+    found = _first_codes(S35, (100, 104, 104, 110, 125, 130))
+    assert calls == [(100, 129)]
+    assert codes[-1] == -1
+    assert found == [
+        {code: 100 + i for i, code in enumerate(codes[:4])},
+        {},
+        {code: 100 + i for i, code in enumerate(codes[:-1]) if i >= 4},
+        {code: 110 + i for i, code in enumerate(codes[:-1])},
+        {code: 120 + i for i, code in enumerate(codes[:-1]) if i >= 5},
+    ]
 
 
 def test_sequence_value_examples_and_errors():
