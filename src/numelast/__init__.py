@@ -44,7 +44,6 @@ from .lengths import (
     elasticity,
     factorizations,
     find_proper_subcollection,
-    iter_length_columns,
     iter_lengths,
     length_set,
     length_stats_range,

@@ -6,15 +6,14 @@ residue class's lengths restart their rise, found once per monoid.  A
 query reads one class's breakpoints, by a bisection or, at or past its
 last one, directly; there are none past the window (g_k - 1) g_{k-1},
 beyond which both recurrences M(n) = M(n - g_1) + 1 and
-m(n) = m(n - g_k) + 1 hold.  The row scans iter_lengths and
-iter_length_columns read columns of M and m over their range, written
-from the same breakpoints one chunk at a time, by one slice copy per
-breakpoint and class, and not kept.
+m(n) = m(n - g_k) + 1 hold.  The row scan iter_lengths reads the tables'
+columns of M and m over its range, written from the same breakpoints one
+chunk at a time, by one slice copy per breakpoint and class, and not kept.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -139,26 +138,11 @@ def elasticity(S: NumericalMonoid, n: int) -> Fraction:
 
 def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     """(n, M(n), m(n)) as ints for every monoid element in [lo, hi], ascending,
-    read from the columns of :func:`iter_length_columns`.
+    read from :meth:`WindowTables.columns`.
 
     The monoid's breakpoints are found, or TableTooLarge raised, by this call.
     """
     return window_tables(S.generators).rows(lo, hi)
-
-
-def iter_length_columns(
-    S: NumericalMonoid, lo: int, hi: int
-) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
-    """(start, M column, m column) for n in [max(lo, 0), hi], in consecutive
-    chunks: entry i of each column is M or m of start + i, -1 where start + i
-    is outside the monoid.  A chunk holds at least WRITE_CHUNK entries (the
-    last one fewer) and is written from the breakpoints when it is read, as
-    an array of machine ints, or a list once lengths reach 2**63; no chunk
-    is kept.
-
-    The monoid's breakpoints are found, or TableTooLarge raised, by this call.
-    """
-    return window_tables(S.generators).columns(lo, hi)
 
 
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 
 from .errors import (
@@ -264,9 +265,9 @@ class WindowTables:
     g_1, which must lie more than g_k below the window's end.  A length query
     reads its class's last breakpoint when n is at or past it, else
     bisects that class's breakpoints.  A row scan reads :meth:`columns`,
-    written from the same breakpoints one chunk at a time and not kept.
-    The object is shared through :func:`window_tables` and must not be
-    written to.
+    written from the same breakpoints one chunk at a time and not kept, and
+    a profile build :meth:`last_breakpoint`.  The object is shared through
+    :func:`window_tables` and must not be written to.
     """
 
     __slots__ = ("g1", "gk", "limit", "frobenius", "max_breaks", "min_breaks")
@@ -320,6 +321,12 @@ class WindowTables:
                 return -1
             s, v = ramps[i - 1]
         return (n + v) // gk
+
+    def last_breakpoint(self) -> int:
+        """N0, the largest last breakpoint over the classes of both moduli:
+        from N0 on, M(n + g_1) = M(n) + 1 and m(n + g_k) = m(n) + 1.  Each
+        call scans the lists, so a build that needs no N0 pays nothing."""
+        return max(ramps[-1][0] for ramps in chain(self.max_breaks, self.min_breaks))
 
     def columns(self, lo: int, hi: int) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
         """(start, M column, m column) for n in [max(lo, 0), hi], in

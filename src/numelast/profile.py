@@ -17,13 +17,14 @@ holds one entry per start, naming the sequence a scan of every class would.
 A build reads the length columns once, and not past the point where the
 pairs repeat.  From the largest last breakpoint N0 of either modulus on,
 M(n + g_1) = M(n) + 1 and m(n + g_k) = m(n) + 1, so the pair (M, m) of
-n + period is that of n plus (g_k, g_1).  A build reads [1, N0) and the one
-period [N0, N0 + period) in a single scan, and derives the rest.  The
-period splits at lo = base - c period, the lowest point at or past N0 a
-whole number c of periods below base: the starts at base are the pairs of
-[lo, N0 + period) shifted by c periods and those of [N0, lo) by c + 1, and
-the pairs of [N0 + period, base + period) are the period's steps 1..c and
-[N0, lo)'s step c + 1.
+n + period is that of n plus (g_k, g_1).  A build looks the monoid's
+WindowTables up once, takes N0 from its last_breakpoint(), reads [1, N0)
+and the one period [N0, N0 + period) from its columns in a single scan,
+and derives the rest.  The period splits at lo = base - c period, the
+lowest point at or past N0 a whole number c of periods below base: the
+starts at base are the pairs of [lo, N0 + period) shifted by c periods and
+those of [N0, lo) by c + 1, and the pairs of [N0 + period, base + period)
+are the period's steps 1..c and [N0, lo)'s step c + 1.
 Each row's pair becomes one 64-bit code, M 2**32 + m, formed in C by
 writing the two int32 columns into the halves of one buffer (see
 _pair_codes); only the first n of each distinct code in each range is
@@ -66,10 +67,11 @@ from math import gcd
 
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
-from .lengths import iter_length_columns, iter_lengths, max_length, min_length
+from .lengths import iter_lengths, max_length, min_length
 from .monoid import (
     TABLE_LIMIT,
     NumericalMonoid,
+    WindowTables,
     detect_arithmetical,
     max_elasticity,
     window_tables,
@@ -197,14 +199,14 @@ def _pair_codes(big, small) -> memoryview:
     return memoryview(pairs).cast("B").cast("q")
 
 
-def _first_codes(S: NumericalMonoid, cuts: tuple[int, ...]) -> list[dict[int, int]]:
+def _first_codes(tables: WindowTables, cuts: tuple[int, ...]) -> list[dict[int, int]]:
     """For each range [cuts[j], cuts[j + 1]), the 64-bit code M(n) 2**32 +
     m(n) of _pair_codes -> the smallest n in that range with those lengths,
     in order of first appearance, for the monoid elements n.  One pass over
-    the length columns serves every range: each chunk's codes are sliced at
-    the cuts."""
+    the columns of ``tables`` serves every range: each chunk's codes are
+    sliced at the cuts."""
     firsts: list[dict[int, int]] = [{} for _ in cuts[1:]]
-    for start, big, small in iter_length_columns(S, cuts[0], cuts[-1] - 1):
+    for start, big, small in tables.columns(cuts[0], cuts[-1] - 1):
         codes = _pair_codes(big, small)
         end = start + len(codes)
         for first, a, b in zip(firsts, cuts, cuts[1:]):
@@ -220,10 +222,11 @@ def _first_codes(S: NumericalMonoid, cuts: tuple[int, ...]) -> list[dict[int, in
 def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     """Finite part, tail starts and tail lines of the monoid's elasticity set.
 
-    Reads the length columns over [1, N0) and the one period [N0, N0 +
-    period) only, N0 the largest last breakpoint of either modulus: past
-    N0 a pair grows by (g_k, g_1) each period.  With c = (base - N0) //
-    period and lo = base - c period, so N0 <= lo < N0 + period, the period
+    Looks the monoid's tables up once and reads their columns over [1, N0)
+    and the one period [N0, N0 + period) only, N0 = last_breakpoint(), the
+    largest last breakpoint of either modulus: past N0 a pair grows by
+    (g_k, g_1) each period.  With c = (base - N0) // period and
+    lo = base - c period, so N0 <= lo < N0 + period, the period
     splits at lo: the rows n of ``late`` = [lo, N0 + period) give the
     classes n - lo shifted by c periods, those of ``early`` = [N0, lo) the
     classes n + period - lo shifted by c + 1.  The starts take late's pairs
@@ -240,11 +243,10 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
     g1, gk = S.g1, S.gk
     base, period = S.generators[-2] * gk, g1 * gk
     tables = window_tables(S.generators)
-    # every breakpoint lies in the window, below base, so c >= 0
-    N0 = max(ramps[-1][0] for ramps in chain(tables.max_breaks, tables.min_breaks))
+    N0 = tables.last_breakpoint()  # in the window, below base, so c >= 0
     c = (base - N0) // period
     lo = base - c * period
-    window, early, late = _first_codes(S, (1, N0, lo, N0 + period))
+    window, early, late = _first_codes(tables, (1, N0, lo, N0 + period))
     shift = gk * _HALF + g1  # a code's growth per period past N0
 
     def moved(first: dict[int, int], t: int) -> Iterator[tuple[int, int]]:
@@ -447,7 +449,10 @@ def compare_profiles(
 ) -> ComparisonVerdict:
     """Compare two monoids' elasticity sets: two arithmetic progressions by the
     theorem, with arithmetical_witness's witness; others with differing limits
-    by those, as compare_built_profiles would; the rest by compare_built_profiles."""
+    by those, as compare_built_profiles would; the rest by compare_built_profiles.
+    Refuses a negative ``t_max`` (IndexOutOfRange) before any work, and one
+    with 2 (t_max + 1) > TABLE_LIMIT (TableTooLarge), which no two profiles,
+    each with a start, can meet, before any table is built."""
     if t_max < 0:
         raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
     a1, a2 = detect_arithmetical(S1), detect_arithmetical(S2)
@@ -458,6 +463,8 @@ def compare_profiles(
     limits = max_elasticity(S1), max_elasticity(S2)
     if limits[0] != limits[1]:
         return ComparisonVerdict("not_equal", max(limits), t_max, None, "limits")
+    if 2 * (t_max + 1) > TABLE_LIMIT:
+        raise TableTooLarge(f"cross-checking to step {t_max} exceeds the limit {TABLE_LIMIT}")
     return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
 
 

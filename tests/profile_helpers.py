@@ -1,6 +1,6 @@
 """Helpers that several test modules share: the start of every residue
 class of a profile, a line index that counts full passes, seeded pairs of
-monoids with equal limits, and length columns of another type."""
+monoids with equal limits, and wrapped or widened length columns of a build."""
 
 import random
 from fractions import Fraction
@@ -60,12 +60,36 @@ def _same_limit_pairs(seed, count, scaled):
     return pairs
 
 
+class _ColumnsProxy:
+    """One monoid's tables with ``columns`` replaced; every other attribute
+    is the tables' own."""
+
+    def __init__(self, tables, columns):
+        self._tables, self.columns = tables, columns
+
+    def __getattr__(self, name):
+        return getattr(self._tables, name)
+
+
+def wrap_columns(monkeypatch, wrap):
+    """Make build_profile read its length columns as ``wrap(columns, lo,
+    hi)``, ``columns`` the tables' own method.  Only the tables that
+    build_profile looks up are wrapped, not the WindowTables class, so the
+    scans of iter_lengths are not."""
+    tables_of = numelast.profile.window_tables
+
+    def proxy(generators):
+        tables = tables_of(generators)
+        return _ColumnsProxy(tables, lambda lo, hi: wrap(tables.columns, lo, hi))
+
+    monkeypatch.setattr(numelast.profile, "window_tables", proxy)
+
+
 def widen_columns(monkeypatch, widen):
     """Make build_profile read every length column through ``widen``."""
-    columns = numelast.profile.iter_length_columns
 
-    def wide(S, lo, hi):
-        for start, big, small in columns(S, lo, hi):
+    def wide(columns, lo, hi):
+        for start, big, small in columns(lo, hi):
             yield start, widen(big), widen(small)
 
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", wide)
+    wrap_columns(monkeypatch, wide)

@@ -16,7 +16,7 @@ from numelast.cli import WRITE_CHUNK, main
 from numelast.lengths import length_stats_range
 from numelast.monoid import WindowTables
 
-from profile_helpers import widen_columns
+from profile_helpers import widen_columns, wrap_columns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -199,6 +199,9 @@ def test_compare_invalid(capsys):
     for pair in (("6,10,13,14", "6,11,13,14"), ("3,5", "3,5")):
         code, out, err = run(capsys, "compare", *pair, "--tmax", "-1")
         assert code == 2 and out == "" and "nonnegative" in err
+    # a bound no pair can meet is refused before any table is built
+    code, out, err = run(capsys, "compare", "6,10,13,14", "6,10,13,14", "--tmax", str(10**18))
+    assert code == 2 and out == "" and "error" in err
 
 
 def test_readme_cli_examples(capsys):
@@ -302,13 +305,13 @@ def test_verify_core_suite(capsys, suite):
 
 def test_verify_profile_suite_scans_across_a_chunk_seam(capsys, monkeypatch):
     # an installed copy must check the pair codes of a multi-chunk scan
-    columns, chunks = numelast.profile.iter_length_columns, []
+    chunks = []
 
-    def counted(S, lo, hi):
-        chunks.append(sum(1 for _ in columns(S, lo, hi)))
-        return columns(S, lo, hi)
+    def counted(columns, lo, hi):
+        chunks.append(sum(1 for _ in columns(lo, hi)))
+        return columns(lo, hi)
 
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", counted)
+    wrap_columns(monkeypatch, counted)
     assert run(capsys, "verify", "--suite", "profile")[:2] == (0, "PASS profile.profile_decomposition\n")
     assert max(chunks) >= 2
 

@@ -20,6 +20,11 @@ deleted, not kept alive.
 
 No module has an ``assert`` statement: python -O strips them, and contract
 checks must still run there, so they raise typed errors instead.
+
+No module but monoid.py reads the breakpoint lists ``max_breaks`` and
+``min_breaks`` of WindowTables: the others ask the tables for a length,
+the columns or last_breakpoint(), so a change of the lists' layout edits
+monoid.py alone.
 """
 
 import ast
@@ -246,3 +251,38 @@ def test_every_private_name_is_read():
 )
 def test_unread_privates_detects_each_form(source, expected):
     assert unread_privates(source) == expected
+
+
+BREAKPOINT_LISTS = {"max_breaks", "min_breaks"}
+
+
+def breakpoint_reads(source):
+    """(line, name) for each attribute of ``source`` named max_breaks or min_breaks."""
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in BREAKPOINT_LISTS
+    )
+
+
+def test_only_monoid_reads_the_breakpoint_lists():
+    paths = sorted(path for path in PACKAGE.glob("*.py") if path.name != "monoid.py")
+    assert len(paths) > 5
+    found = {path.name: breakpoint_reads(path.read_text()) for path in paths}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+    # the owner reads them under these names, so the check is not vacuous
+    assert breakpoint_reads((PACKAGE / "monoid.py").read_text())
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("N0 = max(r[-1][0] for r in tables.max_breaks)\n", [(1, "max_breaks")]),
+        ("def f(t, g):\n    return t.min_breaks[0], window_tables(g).max_breaks\n",
+         [(2, "max_breaks"), (2, "min_breaks")]),
+        ("self.min_breaks = []\n", [(1, "min_breaks")]),
+        ("N0 = tables.last_breakpoint()\nmax_breaks = 1\n", []),  # a bare name is no attribute
+        ("x = 'tables.max_breaks'\n", []),
+    ],
+)
+def test_breakpoint_reads_detects_each_form(source, expected):
+    assert breakpoint_reads(source) == expected

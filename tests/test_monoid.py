@@ -18,13 +18,12 @@ from numelast import (
     contains,
     detect_arithmetical,
     frobenius,
-    iter_length_columns,
     iter_lengths,
     max_elasticity,
     new_monoid,
 )
 
-from numelast.monoid import MAX_GENERATOR, TABLE_LIMIT
+from numelast.monoid import MAX_GENERATOR, TABLE_LIMIT, window_tables
 
 import oracles
 
@@ -84,7 +83,7 @@ def test_table_budget():
     with pytest.raises(TableTooLarge):
         iter_lengths(S, 0, 1)  # on the call, before any row is read
     with pytest.raises(TableTooLarge):
-        iter_length_columns(S, 0, 1)  # likewise before any column is written
+        window_tables(S.generators)  # likewise before any column is written
     assert time.perf_counter() - start < 1.0  # refused before any table is built
     # the largest monoid the benchmark and the ROADMAP ladder use fits: two
     # tables of (g_k - 1) g_{k-1} + 1 entries, 1557110 in all

@@ -23,7 +23,6 @@ from numelast import (
     compare_profiles,
     contains_elasticity,
     elasticity,
-    iter_length_columns,
     iter_lengths,
     max_length,
     min_length,
@@ -37,7 +36,7 @@ from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
 from numelast.profile import _first_codes, _pair_codes
 
 import oracles
-from profile_helpers import widen_columns
+from profile_helpers import widen_columns, wrap_columns
 from test_compare_reference import expand
 
 S35 = new_monoid([3, 5])
@@ -84,13 +83,13 @@ def test_build_profile_matches_row_scan_oracle():
     # 64 g_k = 5,312 rows from n = 1, ends inside late = [1162, 6547)
     S = new_monoid([65, 79, 83])
     assert period_split(S) == (1152, 1162, 6547)
-    assert [start for start, _, _ in iter_length_columns(S, 1, 6546)] == [1, 5313]
+    assert [start for start, _, _ in window_tables(S.generators).columns(1, 6546)] == [1, 5313]
 
 
 def last_breakpoint(S):
-    """N0, the largest last breakpoint over the classes of both moduli."""
-    tables = window_tables(S.generators)
-    return max(ramps[-1][0] for ramps in tables.max_breaks + tables.min_breaks)
+    """N0, the largest last breakpoint over the classes of both moduli, as
+    the monoid's tables give it to build_profile."""
+    return window_tables(S.generators).last_breakpoint()
 
 
 def shifted_periods(S):
@@ -122,11 +121,13 @@ def test_recurrences_hold_from_the_last_breakpoint():
             monoids.append(new_monoid(raw))
     for S in monoids:
         g1, gk, N0 = S.g1, S.gk, last_breakpoint(S)
+        tables = window_tables(S.generators)
+        lasts = [ramps[-1][0] for ramps in tables.max_breaks + tables.min_breaks]
+        assert N0 == max(lasts), S
         end = N0 + 2 * g1 * gk
         maxs, mins = oracles.length_arrays(S.generators, end + gk)
         for n in range(N0, end + 1):
             assert (maxs[n + g1], mins[n + gk]) == (maxs[n] + 1, mins[n] + 1), (S, n)
-        tables = window_tables(S.generators)
         if tables.max_breaks[N0 % g1][-1][0] == N0:
             assert N0 < g1 or maxs[N0 - g1] < 0 or maxs[N0] > maxs[N0 - g1] + 1, S
         if tables.min_breaks[N0 % gk][-1][0] == N0:
@@ -138,14 +139,14 @@ def test_build_profile_reads_from_the_last_breakpoint(monkeypatch):
     # the build reads N0 + period - 1 = 100,996 rows, not lo + period - 1
     # = 123,106 or base + period - 1 = 207,717; <20,21,45> has c = 0 and
     # reads N0 + period - 1 = 1,298 rows, not base + period - 1 = 1,844
-    columns, rows = numelast.profile.iter_length_columns, []
+    rows = []
 
-    def counted(S, lo, hi):
-        for chunk in columns(S, lo, hi):
+    def counted(columns, lo, hi):
+        for chunk in columns(lo, hi):
             rows.append(len(chunk[1]))
             yield chunk
 
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", counted)
+    wrap_columns(monkeypatch, counted)
     prof = build_profile(new_monoid([211, 307, 401]))
     assert shifted_periods(prof.monoid) == 1
     assert period_split(prof.monoid) == (16_386, 38_496, 100_997)
@@ -222,7 +223,7 @@ def test_build_profile_refuses_columns_other_than_int32(monkeypatch, widen):
         build_profile(new_monoid([3, 5]))
 
 
-def test_pair_code_round_trips_extreme_lengths(monkeypatch):
+def test_pair_code_round_trips_extreme_lengths():
     # lengths 0, 1 and 2**31 - 1 in either half, which the seeded oracle
     # tests never reach, catch a sign or half-swap in the packing
     edge = (0, 1, 2**31 - 1)
@@ -238,12 +239,12 @@ def test_pair_code_round_trips_extreme_lengths(monkeypatch):
     # has, one range ending at the chunk seam 110 and one crossing 120
     calls = []
 
-    def chunks(S, lo, hi):
-        calls.append((lo, hi))
-        return iter([(start, big, small) for start in (100, 110, 120)])
+    class Chunks:
+        def columns(self, lo, hi):
+            calls.append((lo, hi))
+            return iter([(start, big, small) for start in (100, 110, 120)])
 
-    monkeypatch.setattr(numelast.profile, "iter_length_columns", chunks)
-    found = _first_codes(S35, (100, 104, 104, 110, 125, 130))
+    found = _first_codes(Chunks(), (100, 104, 104, 110, 125, 130))
     assert calls == [(100, 129)]
     assert codes[-1] == -1
     assert found == [
@@ -442,13 +443,18 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
     S = new_monoid([6, 10, 13, 14])
 
     def no_build(monoid):
-        raise AssertionError("a negative bound must be refused before any profile is built")
+        raise AssertionError("an impossible bound must be refused before any profile is built")
 
     with monkeypatch.context() as patched:
         patched.setattr("numelast.profile.build_profile", no_build)
         for negative in (-1, -5):
             with pytest.raises(IndexOutOfRange):
                 compare_profiles(S, S, negative)
+        # every profile has a start, so 2 (t_max + 1) > TABLE_LIMIT fails
+        # any pair; <6,10,13,14> is no progression, so only the bound refuses
+        for too_large in (TABLE_LIMIT // 2, 10**18):
+            with pytest.raises(TableTooLarge):
+                compare_profiles(S, S, too_large)
     # the bound is checked before any value is read: at the budget the
     # comparison starts, one step past it nothing is read
     prof = build_profile(S)

@@ -25,7 +25,6 @@ from numelast import (
     contains,
     elasticity,
     frobenius,
-    iter_length_columns,
     iter_lengths,
     max_length,
     min_length,
@@ -120,7 +119,7 @@ def test_rows_and_columns_match_recurrences_on_ranges(raw, data):
     gens = S.generators
     g1, gk = gens[0], gens[-1]
     window = (gk - 1) * gens[-2] if len(gens) > 1 else 0
-    size = len(next(iter_length_columns(S, 0, 10**9))[1])
+    size = len(next(window_tables(gens).columns(0, 10**9))[1])
     assert size >= WRITE_CHUNK and size % gk == 0
     maxs, mins = oracles.recurrence_length_arrays(gens, window + 4 * size)
     anchor = data.draw(st.sampled_from(
@@ -130,7 +129,7 @@ def test_rows_and_columns_match_recurrences_on_ranges(raw, data):
     hi = lo + data.draw(st.sampled_from([-5, -1, 0, 1, size - 1, size, size + 1, 3 * size]))
     expected = [(n, *_stepped(maxs, mins, window, g1, gk, n)) for n in range(max(lo, 0), hi + 1)]
     assert list(iter_lengths(S, lo, hi)) == [row for row in expected if row[2] >= 0]
-    chunks = list(iter_length_columns(S, lo, hi))
+    chunks = list(window_tables(gens).columns(lo, hi))
     assert [start for start, _, _ in chunks] == list(range(max(lo, 0), hi + 1, size))
     assert all(len(big) == len(small) for _, big, small in chunks)
     columns = [(n, M, m) for start, big, small in chunks for n, M, m in zip(count(start), big, small)]
