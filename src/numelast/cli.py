@@ -10,7 +10,10 @@ test suite).
 stats and profile stream their output, so memory does not grow with the
 range or the period; plot holds 16 bytes a point, as its axes come first,
 and refuses a range of more than TABLE_LIMIT integers before any work.
-A reader that closes stdout early ends them quietly.
+stats reads the length columns in slices of at most WRITE_CHUNK rows and
+formats the text after n once per distinct (M, m) pair of a slice, so n is
+the only number converted on every row.  A reader that closes stdout early
+ends them quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
 progressions by the paper's theorem alone, and two monoids of differing
@@ -28,23 +31,21 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress
 from math import gcd
 
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError, TableTooLarge
 from .lengths import iter_lengths
 from .monoid import (
-    TABLE_LIMIT, WRITE_CHUNK, NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid
+    TABLE_LIMIT, WRITE_CHUNK, NumericalMonoid, WindowTables, detect_arithmetical, max_elasticity,
+    new_monoid, window_tables,
 )
 from .profile import T_MAX, build_profile, compare_profiles, profile_json_pieces
 from .svg import scatter_svg
 from .verify import SUITES, run_suites
 
 CSV_HEADER = "n,max_len,min_len,rho_num,rho_den"
-CSV_ROW = "%d,%d,%d,%d,%d\n"
-# equals json.dumps(row, separators=(",", ":")) for a row of ints
-JSON_ROW = '{"n":%d,"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
 
 
 def _parse_generators(text: str) -> NumericalMonoid:
@@ -70,24 +71,17 @@ def _range(args) -> tuple[NumericalMonoid, int, int]:
     return S, lo if args.start is None else args.start, hi if args.stop is None else args.stop
 
 
-def _write_chunks(handle, pieces: Iterable[str]) -> None:
-    pieces = iter(pieces)
-    while chunk := list(islice(pieces, WRITE_CHUNK)):
-        handle.write("".join(chunk))
-        del chunk  # free it before the next one is gathered: one chunk at a time
-
-
 def _write_output(pieces: Iterable[str], path: str | None) -> int:
     """Write the text ``pieces`` to ``path`` (stdout for None or "-").
 
-    Pieces are joined and written WRITE_CHUNK at a time, so a streamed
-    output is never held whole.  A reader that closes stdout early (``|
-    head``) ends the output quietly with exit 0.
+    Each piece is written as it comes, so a streamed output is never held
+    whole.  A reader that closes stdout early (``| head``) ends the output
+    quietly with exit 0.
     """
     try:
         if path is None or path == "-":
             try:
-                _write_chunks(sys.stdout, pieces)
+                sys.stdout.writelines(pieces)
                 sys.stdout.flush()
             except BrokenPipeError:
                 # send what is still buffered to devnull, so the interpreter's
@@ -97,39 +91,50 @@ def _write_output(pieces: Iterable[str], path: str | None) -> int:
                 os.close(devnull)
         else:
             with open(path, "w", newline="") as handle:
-                _write_chunks(handle, pieces)
+                handle.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
     return 0
 
 
-def _stats_rows(lengths: Iterable[tuple[int, int, int]], row: str) -> Iterator[str]:
-    """Each (n, M, m) formatted by ``row`` with M/m reduced; 0 has elasticity 1/1."""
-    for n, big, small in lengths:
-        if n:
-            d = gcd(big, small)
-            yield row % (n, big, small, big // d, small // d)
-        else:
-            yield row % (n, big, small, 1, 1)
-
-
-def _json_array(items: Iterator[str]) -> Iterator[str]:
-    yield "["
-    first = next(items, None)
-    if first is not None:
-        yield first
-        for item in items:
-            yield "," + item
-    yield "]\n"
+def _stats_slices(tables: WindowTables, lo: int, hi: int, head: str, tail: str) -> Iterator[str]:
+    """The rows of [lo, hi] as one string per slice of at most WRITE_CHUNK
+    rows.  A row is ``head``, n and ``tail % (M, m, p, q)``, p/q being M/m
+    reduced (1/1 at n = 0).  The tail is formatted once per distinct (M, m)
+    of a slice, so n is the only number converted on every row; the gaps,
+    whose pair is (-1, -1), have no row."""
+    for start, max_col, min_col in tables.columns(lo, hi):
+        for a in range(0, len(max_col), WRITE_CHUNK):
+            bigs, smalls = max_col[a:a + WRITE_CHUNK], min_col[a:a + WRITE_CHUNK]
+            ns = range(start + a, start + a + len(bigs))
+            texts = dict.fromkeys(zip(bigs, smalls))
+            if (-1, -1) in texts:
+                del texts[-1, -1]
+                kept = [small >= 0 for small in smalls]
+                ns = list(compress(ns, kept))
+                bigs, smalls = compress(bigs, kept), compress(smalls, kept)
+            for big, small in texts:
+                d = gcd(big, small)  # 0 only at n = 0
+                texts[big, small] = tail % ((big, small, big // d, small // d) if d else (0, 0, 1, 1))
+            pieces = [head] * (3 * len(ns))
+            pieces[1::3] = map(str, ns)
+            pieces[2::3] = map(texts.__getitem__, zip(bigs, smalls))
+            yield "".join(pieces)
 
 
 def cmd_stats(args) -> int:
-    lengths = iter_lengths(*_range(args))
+    S, lo, hi = _range(args)
+    tables = window_tables(S.generators)  # over the budget: exit 2 before any write
     if args.format == "csv":
-        pieces = chain((CSV_HEADER + "\n",), _stats_rows(lengths, CSV_ROW))
+        pieces = chain((CSV_HEADER,), _stats_slices(tables, lo, hi, "\n", ",%d,%d,%d,%d"), ("\n",))
     else:
-        pieces = _json_array(_stats_rows(lengths, JSON_ROW))
+        # rows joined by commas, as json.dumps(rows, separators=(",", ":")):
+        # each row opens with one, cut from the first
+        texts = filter(None, _stats_slices(
+            tables, lo, hi, ',{"n":', ',"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
+        ))
+        pieces = chain(("[", next(texts, ",")[1:]), texts, ("]\n",))
     return _write_output(pieces, args.output)
 
 

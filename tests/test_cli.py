@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -530,6 +531,41 @@ def test_plot_past_int64_matches_reference(capsys):
         assert f">{lo}</text>" in out and f">{hi}</text>" in out
         # one y value sits mid-axis, as a small one does
         assert kind == "rho" or out.count('cy="300.00"') == 6
+
+
+@pytest.mark.parametrize("gens, lo, hi", [
+    # every n past 2**63: the length columns are array('q') at 10**19, and
+    # lists of ints at 10**20, where every M and m is past 2**63 too
+    ((3, 5), 10**19, 10**19 + 5),
+    ((3, 5), 10**20, 10**20 + 5),
+    # F = 9,599: gaps in three 4,096-row slices, across the 6,464-entry
+    # column chunk seam
+    ((97, 101), 0, 12000),
+], ids=["past_int64", "past_int64_lengths", "gaps_across_seams"])
+def test_stats_matches_reference(gens, lo, hi, tmp_path, capsys):
+    target = tmp_path / "out"
+    for output in ("csv", "json"):
+        args = ["stats", ",".join(map(str, gens)), "--from", str(lo), "--to", str(hi),
+                "--format", output]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == _reference_output(gens, lo, hi, output), args
+        assert run(capsys, *args, "--output", str(target))[0] == 0
+        assert target.read_bytes() == out.encode(), args
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["7,12,17,22"], "0efd744839ab39b3428d16285067c4891507e90f7ad6146a51ded23818049b67"),
+    (["31,57,73,101"], "5c3928579e3761b2bf92325039dc8e1ded87cee6fd55e30f97a79a6464c22e3a"),
+    (["31,57,73,101", "--format", "json"],
+     "1b29958e90749c87a8cc9ed653b8caf715a3fa5dcbf3e44c98a2862b94d75dad"),
+    (["101,157,203"], "1c8af250033927524b286d849594a0eeae029a0b4f3e071e447456576d97a970"),
+])
+def test_stats_default_ranges_are_pinned(capsys, args, digest):
+    # the benchmark's stats commands, byte for byte over their whole output
+    code, out, _ = run(capsys, "stats", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_closed_stdout_exits_0():
