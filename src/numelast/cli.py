@@ -10,10 +10,9 @@ test suite).
 stats and profile stream their output, so memory does not grow with the
 range or the period; plot holds 16 bytes a point, as its axes come first,
 and refuses a range of more than TABLE_LIMIT integers before any work.
-stats reads the length columns in slices of at most WRITE_CHUNK rows and
-formats the text after n once per distinct (M, m) pair of a slice, so n is
-the only number converted on every row.  A reader that closes stdout early
-ends them quietly.
+stats formats the text after n once per distinct (M, m) pair of each slice
+of WRITE_CHUNK rows, so n is the only number converted on every row.  A
+reader that closes stdout early ends them quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
 progressions by the paper's theorem alone, and two monoids of differing
@@ -31,7 +30,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import gcd
 
 from . import arithmetical as ar
@@ -98,6 +97,12 @@ def _write_output(pieces: Iterable[str], path: str | None) -> int:
     return 0
 
 
+def _joined(pieces: Iterator[str]) -> Iterator[str]:
+    """Row-sized ``pieces``, none empty, joined WRITE_CHUNK at a time: an
+    unbuffered stdout (``python -u``) makes one write call per piece."""
+    return iter(lambda: "".join(islice(pieces, WRITE_CHUNK)), "")
+
+
 def _stats_slices(tables: WindowTables, lo: int, hi: int, head: str, tail: str) -> Iterator[str]:
     """The rows of [lo, hi] as one string per slice of at most WRITE_CHUNK
     rows.  A row is ``head``, n and ``tail % (M, m, p, q)``, p/q being M/m
@@ -131,10 +136,10 @@ def cmd_stats(args) -> int:
     else:
         # rows joined by commas, as json.dumps(rows, separators=(",", ":")):
         # each row opens with one, cut from the first
-        texts = filter(None, _stats_slices(
+        slices = filter(None, _stats_slices(
             tables, lo, hi, ',{"n":', ',"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
         ))
-        pieces = chain(("[", next(texts, ",")[1:]), texts, ("]\n",))
+        pieces = chain(("[", next(slices, ",")[1:]), slices, ("]\n",))
     return _write_output(pieces, args.output)
 
 
@@ -149,7 +154,7 @@ def cmd_plot(args) -> int:
         points = ((n, big) for n, big, _ in lengths)
     else:
         points = ((n, small) for n, _, small in lengths)
-    return _write_output(scatter_svg(points, title=f"{S} {args.kind}"), args.output)
+    return _write_output(_joined(scatter_svg(points, title=f"{S} {args.kind}")), args.output)
 
 
 def cmd_recover(args) -> int:
@@ -187,7 +192,7 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     profile = build_profile(_parse_generators(args.generators))
-    return _write_output(chain(profile_json_pieces(profile), ("\n",)), args.output)
+    return _write_output(_joined(chain(profile_json_pieces(profile), ("\n",))), args.output)
 
 
 def cmd_verify(args) -> int:

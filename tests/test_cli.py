@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -592,6 +593,31 @@ def test_closed_stdout_exits_0():
         for proc in procs:
             proc.kill()  # no-op for a process already waited for
             proc.wait(timeout=60)
+
+
+class CountedWrites(io.StringIO):
+    """A stdout that counts write calls, as ``python -u`` makes a system
+    call of each."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "101,157,203"],
+    ["stats", "31,57,73,101", "--format", "json"],
+    ["plot", "31,57,73,101"],
+    ["profile", "101,157,203"],
+])
+def test_output_is_written_in_chunks(monkeypatch, args):
+    # rows reach the writer joined by the thousand, not one write call each
+    out = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(args) == 0
+    assert len(out.getvalue()) >= WRITE_CHUNK * out.calls, out.calls
 
 
 def test_stats_memory_does_not_grow_with_range(tmp_path):
