@@ -13,7 +13,6 @@ names a value that separates two unequal sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -27,15 +26,21 @@ from .errors import (
     SOutOfRange,
 )
 from .monoid import ArithmeticalParams
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class ElasticityTuple:
+class ElasticityTuple(FrozenRecord):
     """Triple (c, s, x); slice ck + s and row x relative to ambient params."""
 
+    __slots__ = ("c", "s", "x")
     c: int
     s: int
     x: int
+
+    def __init__(self, c: int, s: int, x: int):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "x", x)
 
     def slice_index(self, params: ArithmeticalParams) -> int:
         return self.c * params.k + self.s
@@ -47,8 +52,7 @@ class ElasticityTuple:
         return self.x == tuple_bounds(params, self.s)[1]
 
 
-@dataclass(frozen=True)
-class TupleComparison:
+class TupleComparison(FrozenRecord):
     """Outcome of comparing two tuples' values, with the rule that applied.
 
     ``relation`` is the sign of lhs - rhs; ``rule`` is "slice" when the
@@ -59,10 +63,17 @@ class TupleComparison:
     over a=7, d=5, k=3), so the relation is always computed exactly.
     """
 
+    __slots__ = ("relation", "rule", "lhs", "rhs")
     relation: int
     rule: str
     lhs: Fraction
     rhs: Fraction
+
+    def __init__(self, relation: int, rule: str, lhs: Fraction, rhs: Fraction):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def tuple_bounds(params: ArithmeticalParams, s: int) -> tuple[int, int]:

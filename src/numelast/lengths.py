@@ -14,12 +14,12 @@ chunk at a time, by one slice copy per breakpoint and class, and not kept.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import EnumerationLimitExceeded, NoSubcollection, NotInMonoid
 from .monoid import NumericalMonoid, window_tables
+from .records import FrozenRecord
 
 #: factorizations() refuses, before any work, an n with n * g_1 above this,
 #: or with more candidate exponent vectors (e_2, ..., e_k), at most
@@ -27,25 +27,34 @@ from .monoid import NumericalMonoid, window_tables
 ENUMERATION_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(FrozenRecord):
     """Exponent vector over the generators of the ambient monoid."""
 
+    __slots__ = ("exponents",)
     exponents: tuple[int, ...]
+
+    def __init__(self, exponents: tuple[int, ...]):
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def length(self) -> int:
         return sum(self.exponents)
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(FrozenRecord):
     """Per-element length data: n, M(n), m(n) and the elasticity M(n)/m(n)."""
 
+    __slots__ = ("n", "max_len", "min_len", "elasticity")
     n: int
     max_len: int
     min_len: int
     elasticity: Fraction
+
+    def __init__(self, n: int, max_len: int, min_len: int, elasticity: Fraction):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "min_len", min_len)
+        object.__setattr__(self, "elasticity", elasticity)
 
 
 def _visit_factorizations(

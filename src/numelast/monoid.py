@@ -20,7 +20,6 @@ import operator
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -35,6 +34,7 @@ from .errors import (
     TableTooLarge,
     ZeroGenerator,
 )
+from .records import FrozenRecord
 
 #: Cap on the largest generator new_monoid accepts.
 MAX_GENERATOR = 10**6
@@ -56,18 +56,18 @@ WRITE_CHUNK = 4096
 TABLE_CACHE_SIZE = 4
 
 
-@dataclass(frozen=True)
-class NumericalMonoid:
+class NumericalMonoid(FrozenRecord):
     """Additive submonoid of N with minimal generators ``g_1 < ... < g_k``.
 
     Instances are assumed minimal.  Use :func:`new_monoid` to normalize raw
     input (sorting, deduplication, removal of redundant generators).
     """
 
+    __slots__ = ("generators",)
     generators: tuple[int, ...]
 
-    def __post_init__(self):
-        gens = tuple(map(operator.index, self.generators))  # TypeError for 2.7 or "3"
+    def __init__(self, generators):
+        gens = tuple(map(operator.index, generators))  # TypeError for 2.7 or "3"
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise EmptyInput("need at least one generator")
@@ -93,25 +93,28 @@ class NumericalMonoid:
         return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
-@dataclass(frozen=True)
-class ArithmeticalParams:
+class ArithmeticalParams(FrozenRecord):
     """Parameters (a, d, k) of the monoid generated by a, a+d, ..., a+kd.
 
     Requires gcd(a, d) = 1 and 1 <= k < a, the standing assumptions under
     which the progression is a minimal generating set.
     """
 
+    __slots__ = ("a", "d", "k")
     a: int
     d: int
     k: int
 
-    def __post_init__(self):
-        if min(self.a, self.d, self.k) < 1:
+    def __init__(self, a: int, d: int, k: int):
+        if min(a, d, k) < 1:
             raise ValueError("a, d and k must be positive")
-        if gcd(self.a, self.d) != 1:
-            raise ValueError(f"gcd(a={self.a}, d={self.d}) must be 1")
-        if not self.k < self.a:
-            raise ValueError(f"need k < a, got k={self.k}, a={self.a}")
+        if gcd(a, d) != 1:
+            raise ValueError(f"gcd(a={a}, d={d}) must be 1")
+        if not k < a:
+            raise ValueError(f"need k < a, got k={k}, a={a}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
 
     def generators(self) -> tuple[int, ...]:
         return tuple(self.a + i * self.d for i in range(self.k + 1))

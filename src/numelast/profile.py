@@ -58,7 +58,6 @@ import sys
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heapreplace, merge
@@ -76,13 +75,13 @@ from .monoid import (
     max_elasticity,
     window_tables,
 )
+from .records import FrozenRecord, Record
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
 
 
-@dataclass
-class ElasticityProfile:
+class ElasticityProfile(Record):
     """Finite part, tail start index and tail line index of one elasticity set.
 
     ``finite`` maps the key floor(M K / m), K = ``key_scale``, of each value
@@ -97,6 +96,8 @@ class ElasticityProfile:
     ``starts`` order; flat starts (J = 0) have no line.
     """
 
+    # the instance dict keeps finite_part once built
+    __slots__ = ("monoid", "base", "period", "finite", "key_scale", "starts", "lines", "__dict__")
     monoid: NumericalMonoid
     base: int
     period: int
@@ -104,6 +105,15 @@ class ElasticityProfile:
     key_scale: int  # K = _key_scale(monoid, 0)
     starts: dict[tuple[int, int], int]  # (M0, m0) -> its first class, in order of appearance
     lines: dict[int, tuple[int, ...]]  # J -> (m0, first class, ...), in increasing J
+
+    def __init__(self, monoid, base, period, finite, key_scale, starts, lines):
+        self.monoid = monoid
+        self.base = base
+        self.period = period
+        self.finite = finite
+        self.key_scale = key_scale
+        self.starts = starts
+        self.lines = lines
 
     @cached_property
     def finite_part(self) -> dict[Fraction, int]:
@@ -121,8 +131,7 @@ class ElasticityProfile:
         return range(self.base, self.base + self.period)
 
 
-@dataclass(frozen=True)
-class SequenceAlignment:
+class SequenceAlignment(FrozenRecord):
     """Affine match: source values v(t) equal target values at alpha*t + beta.
 
     ``source`` and ``target`` are the first classes of two tail starts; the
@@ -131,15 +140,22 @@ class SequenceAlignment:
     matched to a constant target with alpha=1, beta=0.
     """
 
+    __slots__ = ("source", "target", "alpha", "beta", "t0")
     source: int
     target: int
     alpha: int
     beta: int
     t0: int
 
+    def __init__(self, source: int, target: int, alpha: int, beta: int, t0: int):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "t0", t0)
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+
+class ComparisonVerdict(FrozenRecord):
     """Result of comparing two elasticity sets.
 
     ``outcome`` is "equal", "not_equal" or "unknown", and ``reason`` the rule
@@ -148,11 +164,19 @@ class ComparisonVerdict:
     source start each way, in ``starts`` order; a "theorem" one carries none.
     """
 
+    __slots__ = ("outcome", "witness", "checked_bound", "certificate", "reason")
     outcome: str
     witness: Fraction | None
     checked_bound: int
     certificate: tuple[tuple[SequenceAlignment, ...], tuple[SequenceAlignment, ...]] | None
     reason: str
+
+    def __init__(self, outcome, witness, checked_bound, certificate, reason):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checked_bound", checked_bound)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "reason", reason)
 
 
 def _key_scale(S: NumericalMonoid, t_max: int) -> int:

@@ -1,6 +1,7 @@
 """Helpers that several test modules share: the start of every residue
 class of a profile, a line index that counts full passes, seeded pairs of
-monoids with equal limits, and wrapped or widened length columns of a build."""
+monoids with equal limits, wrapped or widened length columns of a build,
+and the fields of the package's value objects."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,21 @@ from math import gcd
 
 import numelast.profile
 from numelast import iter_lengths, new_monoid
+
+
+def field_names(value):
+    """The fields of a value object of the package, in order, as its class names them."""
+    return type(value).__match_args__
+
+
+def replaced(value, **changes):
+    """A new value object like ``value`` with the named fields changed, built
+    through its class's constructor, as ``dataclasses.replace`` built one."""
+    names = field_names(value)
+    unknown = changes.keys() - set(names)
+    if unknown:
+        raise TypeError(f"{type(value).__name__} has no fields {sorted(unknown)}")
+    return type(value)(**{name: changes.get(name, getattr(value, name)) for name in names})
 
 
 def columns(profile):

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from numelast.cli import WRITE_CHUNK, main
 from numelast.lengths import length_stats_range
 from numelast.monoid import WindowTables
 
-from profile_helpers import widen_columns, wrap_columns
+from profile_helpers import replaced, widen_columns, wrap_columns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -362,7 +361,7 @@ def test_verify_profile_negative_control(capsys, monkeypatch):
     # empty the tail line index: tail values past the finite part are no
     # longer found, and the profile suite must notice and exit nonzero
     build = numelast.profile.build_profile
-    monkeypatch.setattr(numelast.profile, "build_profile", lambda S: replace(build(S), lines={}))
+    monkeypatch.setattr(numelast.profile, "build_profile", lambda S: replaced(build(S), lines={}))
     code = main(["verify", "--suite", "profile"])
     out = capsys.readouterr().out
     assert code == 1

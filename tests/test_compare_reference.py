@@ -13,7 +13,6 @@ to every residue class, the verdicts must agree field by field.
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -38,7 +37,7 @@ import numelast.profile
 from numelast.profile import _align_sequences
 
 import oracles
-from profile_helpers import _CountingLines, _same_limit_pairs, columns
+from profile_helpers import _CountingLines, _same_limit_pairs, columns, replaced
 
 T_MAX = 50
 PAIRS = Path(__file__).resolve().parents[1] / "perfbench" / "pairs.json"
@@ -100,7 +99,7 @@ def expand(profile, side):
     starts = columns(profile)
     by_start = {starts[a.source]: a for a in side}
     assert len(by_start) == len(side)
-    return tuple(replace(by_start[start], source=i) for i, start in enumerate(starts))
+    return tuple(replaced(by_start[start], source=i) for i, start in enumerate(starts))
 
 
 def _expanded(verdict, S1, S2):
@@ -108,7 +107,7 @@ def _expanded(verdict, S1, S2):
         return verdict
     forward, backward = verdict.certificate
     p1, p2 = build_profile(S1), build_profile(S2)
-    return replace(verdict, certificate=(expand(p1, forward), expand(p2, backward)))
+    return replaced(verdict, certificate=(expand(p1, forward), expand(p2, backward)))
 
 
 def reference_verdict(S1, S2, t_max=T_MAX):
@@ -234,7 +233,7 @@ def test_alignment_matches_slope_walk_oracle():
         for src, dst in ((p1, p2), (p2, p1)):
             for t_max in (0, 1, T_MAX):
                 lines = _CountingLines(dst.lines)  # one pass per start that visits every line
-                aligned = _align_sequences(src, replace(dst, lines=lines), t_max)
+                aligned = _align_sequences(src, replaced(dst, lines=lines), t_max)
                 assert aligned == oracles.slope_walk_alignment(src, dst, t_max), (S1, S2, t_max)
             non_flat = sum(len(line) // 2 for line in src.lines.values())
             visits["pass"] += lines.passes

@@ -21,6 +21,10 @@ deleted, not kept alive.
 No module has an ``assert`` statement: python -O strips them, and contract
 checks must still run there, so they raise typed errors instead.
 
+No module imports dataclasses: importing it pulls in inspect, ast, dis
+and tokenize, and every command pays that at start-up; the value classes
+derive from numelast.records instead.
+
 No module but monoid.py reads the breakpoint lists ``max_breaks`` and
 ``min_breaks`` of WindowTables: the others ask the tables for a length,
 the columns or last_breakpoint(), so a change of the lists' layout edits
@@ -251,6 +255,41 @@ def test_every_private_name_is_read():
 )
 def test_unread_privates_detects_each_form(source, expected):
     assert unread_privates(source) == expected
+
+
+def dataclass_imports(source):
+    """Line of each import of dataclasses in ``source``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [node.lineno for module in modules if module.split(".")[0] == "dataclasses"]
+    return sorted(found)
+
+
+def test_no_module_imports_dataclasses():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    found = {path.name: dataclass_imports(path.read_text()) for path in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from dataclasses import dataclass\n", [1]),
+        ("import os, dataclasses as dc\nx = dc\n", [1]),
+        ("def f():\n    from dataclasses import replace\n", [2]),
+        ("from .records import FrozenRecord\nx = 'import dataclasses'\n", []),
+        ("from . import dataclasses\n", []),  # a module of the package by that name
+    ],
+)
+def test_dataclass_imports_detects_each_form(source, expected):
+    assert dataclass_imports(source) == expected
 
 
 BREAKPOINT_LISTS = {"max_breaks", "min_breaks"}

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from array import array
-from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -36,7 +35,7 @@ from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
 from numelast.profile import _first_codes, _pair_codes
 
 import oracles
-from profile_helpers import widen_columns, wrap_columns
+from profile_helpers import field_names, replaced, widen_columns, wrap_columns
 from test_compare_reference import expand
 
 S35 = new_monoid([3, 5])
@@ -458,7 +457,7 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
     # the bound is checked before any value is read: at the budget the
     # comparison starts, one step past it nothing is read
     prof = build_profile(S)
-    poisoned = replace(prof, finite=_UntouchedValues(prof.finite))
+    poisoned = replaced(prof, finite=_UntouchedValues(prof.finite))
     t_max = TABLE_LIMIT // (2 * len(prof.starts)) - 1
     with pytest.raises(_Untouched):
         compare_built_profiles(poisoned, poisoned, t_max)
@@ -514,7 +513,7 @@ def test_profile_stored_at_its_true_size():
     # one entry per distinct start and per finite value, none per residue class
     prof = build_profile(new_monoid([101, 157, 203]))
     assert (prof.period, len(prof.starts), len(prof.finite_part)) == (20503, 1085, 1749)
-    values = [getattr(prof, field.name) for field in fields(prof)]
+    values = [getattr(prof, name) for name in field_names(prof)]
     assert prof.period not in [len(v) for v in values if hasattr(v, "__len__")]
 
 

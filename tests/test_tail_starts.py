@@ -8,7 +8,6 @@ Witnesses are checked against elasticity() and, for finite-part hits,
 against the smallest element in the recurrence oracle.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from numelast import build_profile, contains_elasticity, elasticity, new_monoid, sequence_value
 
 import oracles
-from profile_helpers import _CountingLines, columns
+from profile_helpers import _CountingLines, columns, replaced
 
 raw_sets = st.lists(st.integers(1, 40), min_size=2, max_size=5).filter(lambda raw: gcd(*raw) == 1)
 bounded = settings(derandomize=True, max_examples=30, deadline=None)
@@ -98,7 +97,7 @@ def _traced(profile, q):
     """contains_elasticity(profile, q) and whether it walked the multiples of
     its line step (True) or passed over every line (False)."""
     lines = _CountingLines(profile.lines)
-    result = contains_elasticity(dataclasses.replace(profile, lines=lines), q)
+    result = contains_elasticity(replaced(profile, lines=lines), q)
     return result, lines.passes == 0
 
 
