@@ -185,6 +185,9 @@ def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int,
     an entry of s with the least u carries the largest part of an optimal
     representation of s, so no such entry has an index below j.  The kept
     entry of s therefore carries the least such j, as the induction needs.
+    A push whose u is not below the least u of its class so far is skipped:
+    that least only falls, so the entry's pop would be discarded, while the
+    kept entry of a breakpoint has a u below it at its pop and so at its push.
     """
     breaks: list[list[tuple[int, int]]] = [[] for _ in range(mod)]
     # each class's least u so far; every u is below (limit + 1) mod
@@ -202,9 +205,12 @@ def _breakpoints(mod: int, parts, limit: int, sign: int) -> list[list[tuple[int,
         least[r] = u
         breaks[r].append((s, u))
         for i, g, step in later[j]:
-            if s + g > limit:
+            t = s + g
+            if t > limit:
                 break
-            heappush(heap, (s + g, u + step, i))
+            v = u + step
+            if v < least[t % mod]:
+                heappush(heap, (t, v, i))
     return breaks
 
 
