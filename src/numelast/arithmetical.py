@@ -37,7 +37,7 @@ class ElasticityTuple(FrozenRecord):
     s: int
     x: int
 
-    def __init__(self, c: int, s: int, x: int):
+    def __init__(self, c, s, x):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "x", x)
@@ -69,7 +69,7 @@ class TupleComparison(FrozenRecord):
     lhs: Fraction
     rhs: Fraction
 
-    def __init__(self, relation: int, rule: str, lhs: Fraction, rhs: Fraction):
+    def __init__(self, relation, rule, lhs, rhs):
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "lhs", lhs)

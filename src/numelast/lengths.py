@@ -33,7 +33,7 @@ class Factorization(FrozenRecord):
     __slots__ = ("exponents",)
     exponents: tuple[int, ...]
 
-    def __init__(self, exponents: tuple[int, ...]):
+    def __init__(self, exponents):
         object.__setattr__(self, "exponents", exponents)
 
     @property
@@ -50,7 +50,7 @@ class LengthStats(FrozenRecord):
     min_len: int
     elasticity: Fraction
 
-    def __init__(self, n: int, max_len: int, min_len: int, elasticity: Fraction):
+    def __init__(self, n, max_len, min_len, elasticity):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "max_len", max_len)
         object.__setattr__(self, "min_len", min_len)

@@ -105,7 +105,7 @@ class ArithmeticalParams(FrozenRecord):
     d: int
     k: int
 
-    def __init__(self, a: int, d: int, k: int):
+    def __init__(self, a, d, k):
         if min(a, d, k) < 1:
             raise ValueError("a, d and k must be positive")
         if gcd(a, d) != 1:

@@ -147,7 +147,7 @@ class SequenceAlignment(FrozenRecord):
     beta: int
     t0: int
 
-    def __init__(self, source: int, target: int, alpha: int, beta: int, t0: int):
+    def __init__(self, source, target, alpha, beta, t0):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "alpha", alpha)
