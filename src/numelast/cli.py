@@ -184,7 +184,7 @@ def cmd_compare(args) -> int:
     elif verdict.outcome == "not_equal":
         print("NOT_EQUAL witness=%d/%d" % verdict.witness.as_integer_ratio())
     else:
-        print(f"UNKNOWN bound={verdict.checked_bound}")
+        print(f"UNKNOWN bound={args.tmax}")
     if verdict.reason == "theorem":
         print("arithmetical: " + verdict.outcome.upper())
     return 0

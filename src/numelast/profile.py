@@ -37,7 +37,7 @@ The finite part is kept in integers: each value M/m, with the lengths of its
 smallest witness, under its exact key floor(M K / m), K = _key_scale(S, 0),
 in increasing key order.  A membership query looks up its own key and
 confirms the hit by cross-multiplying, so no Fraction is made; the Fraction
-view ``finite_part`` is built only when first read.
+view ``finite_part`` is built only when read.
 
 With y = m0 + t g_1 and J = g_k m0 - g_1 M0, the value at step t is
 (g_k y - J)/(g_1 y): a tail is the ray y >= m0, y = m0 (mod g_1) on the line
@@ -54,12 +54,12 @@ and the values the alignments leave cross-checked.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from collections import deque
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heapreplace, merge
 from itertools import chain, filterfalse
 from math import gcd
@@ -75,29 +75,28 @@ from .monoid import (
     max_elasticity,
     window_tables,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord
 
 #: Default step bound t_max of compare_profiles and of the CLI's compare --tmax.
 T_MAX = 50
 
 
-class ElasticityProfile(Record):
+class ElasticityProfile(FrozenRecord):
     """Finite part, tail start index and tail line index of one elasticity set.
 
     ``finite`` maps the key floor(M K / m), K = ``key_scale``, of each value
     M/m attained below base + period to (M, m, smallest witness), with the
     lengths M and m of that witness, so M/m need not be reduced; the key is
     exact, and its order is the order of the values.  ``finite_part`` is
-    the same map as value -> witness, its Fractions built on first read and
-    kept.  Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0)
+    the same map as value -> witness, its Fractions built on each read.
+    Class i, 0 <= i < period, starts at n0 = base + i with M0 = M(n0)
     and m0 = m(n0); it is flat at the limit when M0 g_1 = m0 g_k.  ``lines``
     maps each line J = g_k m0 - g_1 M0 > 0 of a non-flat start to the flat
     tuple (m0, first class, m0', first class', ...) of its starts, in
     ``starts`` order; flat starts (J = 0) have no line.
     """
 
-    # the instance dict keeps finite_part once built
-    __slots__ = ("monoid", "base", "period", "finite", "key_scale", "starts", "lines", "__dict__")
+    __slots__ = ("monoid", "base", "period", "finite", "key_scale", "starts", "lines")
     monoid: NumericalMonoid
     base: int
     period: int
@@ -107,18 +106,18 @@ class ElasticityProfile(Record):
     lines: dict[int, tuple[int, ...]]  # J -> (m0, first class, ...), in increasing J
 
     def __init__(self, monoid, base, period, finite, key_scale, starts, lines):
-        self.monoid = monoid
-        self.base = base
-        self.period = period
-        self.finite = finite
-        self.key_scale = key_scale
-        self.starts = starts
-        self.lines = lines
+        object.__setattr__(self, "monoid", monoid)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "key_scale", key_scale)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "lines", lines)
 
-    @cached_property
+    @property
     def finite_part(self) -> dict[Fraction, int]:
         """Value -> smallest witness >= 1, in increasing value: ``finite``
-        as Fractions, built on first read and kept."""
+        as Fractions, built on each read."""
         return {Fraction(big, small): n for big, small, n in self.finite.values()}
 
     @property
@@ -161,20 +160,19 @@ class ComparisonVerdict(FrozenRecord):
     ``outcome`` is "equal", "not_equal" or "unknown", and ``reason`` the rule
     that decided it.  A not_equal verdict carries a witness value lying in
     exactly one set.  An "alignment" equal verdict carries one alignment per
-    source start each way, in ``starts`` order; a "theorem" one carries none.
+    source start each way, in ``starts`` order; a "theorem" or "limits" one
+    carries none.
     """
 
-    __slots__ = ("outcome", "witness", "checked_bound", "certificate", "reason")
+    __slots__ = ("outcome", "witness", "certificate", "reason")
     outcome: str
     witness: Fraction | None
-    checked_bound: int
     certificate: tuple[tuple[SequenceAlignment, ...], tuple[SequenceAlignment, ...]] | None
     reason: str
 
-    def __init__(self, outcome, witness, checked_bound, certificate, reason):
+    def __init__(self, outcome, witness, certificate, reason):
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "checked_bound", checked_bound)
         object.__setattr__(self, "certificate", certificate)
         object.__setattr__(self, "reason", reason)
 
@@ -307,7 +305,9 @@ def build_profile(S: NumericalMonoid) -> ElasticityProfile:
 
 
 def sequence_value(profile: ElasticityProfile, index: int, t: int) -> Fraction:
-    """Value of the ``index``-th tail sequence after ``t`` periods."""
+    """Value of the ``index``-th tail sequence after ``t`` periods; both
+    are ints (TypeError otherwise)."""
+    index, t = operator.index(index), operator.index(t)
     if not 0 <= index < profile.period:
         raise IndexOutOfRange(f"no sequence {index}")
     if t < 0:
@@ -473,20 +473,25 @@ def compare_profiles(
 ) -> ComparisonVerdict:
     """Compare two monoids' elasticity sets: two arithmetic progressions by the
     theorem, with arithmetical_witness's witness; others with differing limits
-    by those, as compare_built_profiles would; the rest by compare_built_profiles.
-    Refuses a negative ``t_max`` (IndexOutOfRange) before any work, and one
-    with 2 (t_max + 1) > TABLE_LIMIT (TableTooLarge), which no two profiles,
-    each with a start, can meet, before any table is built."""
+    by those, as compare_built_profiles would; two copies of <1>, whose sets
+    are {1}, as equal by their limits; the rest by compare_built_profiles.
+    Refuses a ``t_max`` that is no int (TypeError) or is negative
+    (IndexOutOfRange) before any work, and one with 2 (t_max + 1) >
+    TABLE_LIMIT (TableTooLarge), which no two profiles, each with a start,
+    can meet, before any table is built."""
+    t_max = operator.index(t_max)
     if t_max < 0:
         raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
     a1, a2 = detect_arithmetical(S1), detect_arithmetical(S2)
     if a1 is not None and a2 is not None:
         if elasticity_sets_equal_arithmetical(a1, a2):
-            return ComparisonVerdict("equal", None, t_max, None, "theorem")
-        return ComparisonVerdict("not_equal", arithmetical_witness(a1, a2), t_max, None, "theorem")
+            return ComparisonVerdict("equal", None, None, "theorem")
+        return ComparisonVerdict("not_equal", arithmetical_witness(a1, a2), None, "theorem")
     limits = max_elasticity(S1), max_elasticity(S2)
     if limits[0] != limits[1]:
-        return ComparisonVerdict("not_equal", max(limits), t_max, None, "limits")
+        return ComparisonVerdict("not_equal", max(limits), None, "limits")
+    if limits[0] == 1:  # g_k/g_1 = 1 only for k = 1: both monoids are <1>
+        return ComparisonVerdict("equal", None, None, "limits")
     if 2 * (t_max + 1) > TABLE_LIMIT:
         raise TableTooLarge(f"cross-checking to step {t_max} exceeds the limit {TABLE_LIMIT}")
     return compare_built_profiles(build_profile(S1), build_profile(S2), t_max)
@@ -513,10 +518,12 @@ def compare_built_profiles(
     aligned into the other, a complete proof; otherwise unknown
     ("unaligned") at the checked bound.
 
-    Raises IndexOutOfRange for a negative ``t_max``, and TableTooLarge when
-    the tail values to cross-check, (starts of both sides) * (t_max + 1),
-    exceed TABLE_LIMIT; both before any value is built.
+    Raises TypeError for a ``t_max`` that is no int, IndexOutOfRange for a
+    negative one, and TableTooLarge when the tail values to cross-check,
+    (starts of both sides) * (t_max + 1), exceed TABLE_LIMIT; all before any
+    value is built.
     """
+    t_max = operator.index(t_max)
     if t_max < 0:
         raise IndexOutOfRange(f"step bound must be nonnegative, got {t_max}")
     tail_values = (len(p1.starts) + len(p2.starts)) * (t_max + 1)
@@ -526,11 +533,11 @@ def compare_built_profiles(
             f"above the limit {TABLE_LIMIT}"
         )
     if p1.limit != p2.limit:
-        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None, "limits")
+        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), None, "limits")
     K = max(_key_scale(p1.monoid, t_max), _key_scale(p2.monoid, t_max))
     witness = _first_side_witness(p1, p2, K, t_max)
     if witness is not None:
-        return ComparisonVerdict("not_equal", witness, t_max, None, "cross-check")
+        return ComparisonVerdict("not_equal", witness, None, "cross-check")
     forward = _align_sequences(p1, p2, t_max)
     backward = _align_sequences(p2, p1, t_max)
     left1 = _unaligned_values(p1, forward, K, t_max)
@@ -539,11 +546,11 @@ def compare_built_profiles(
         for key in sorted(left.keys() - other.keys()):
             value = Fraction(*left[key])
             if not contains_elasticity(dst, value)[0]:
-                return ComparisonVerdict("not_equal", value, t_max, None, "cross-check")
+                return ComparisonVerdict("not_equal", value, None, "cross-check")
     if None not in forward and None not in backward:
         proof = (tuple(forward), tuple(backward))
-        return ComparisonVerdict("equal", None, t_max, proof, "alignment")
-    return ComparisonVerdict("unknown", None, t_max, None, "unaligned")
+        return ComparisonVerdict("equal", None, proof, "alignment")
+    return ComparisonVerdict("unknown", None, None, "unaligned")
 
 
 def profile_json_pieces(profile: ElasticityProfile) -> Iterator[str]:

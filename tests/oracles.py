@@ -151,17 +151,18 @@ def length_set_family(gens, bound):
     return family
 
 
-def start_scan_membership(profile, q):
-    """(found, witness) for ``q`` by the finite part and then by solving
-    q (m0 + t g_1) = M0 + t g_k for an integer t >= 0 from each distinct tail
-    start, in ``starts`` order: the first that solves it gives the witness
-    base + i + t period, i its first class.  It reads only the profile's
-    public ``finite_part`` and ``starts``, not its line index."""
+def start_scan_membership(profile, finite, q):
+    """(found, witness) for ``q`` by ``finite``, the profile's finite part as
+    value -> smallest witness, and then by solving q (m0 + t g_1) = M0 + t g_k
+    for an integer t >= 0 from each distinct tail start, in ``starts`` order:
+    the first that solves it gives the witness base + i + t period, i its
+    first class.  It reads only the profile's monoid, base, period and public
+    ``starts``, not its line index; callers build ``finite`` once a profile."""
     q = Fraction(q)
     g1, gk = profile.monoid.g1, profile.monoid.gk
     if q < 1 or q > Fraction(gk, g1):
         return False, None
-    witness = profile.finite_part.get(q)
+    witness = finite.get(q)
     if witness is not None:
         return True, witness
     num, den = q.numerator, q.denominator

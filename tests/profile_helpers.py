@@ -1,7 +1,8 @@
-"""Helpers that several test modules share: the start of every residue
-class of a profile, a line index that counts full passes, seeded pairs of
-monoids with equal limits, wrapped or widened length columns of a build,
-and the fields of the package's value objects."""
+"""Helpers that several test modules share: the finite part as Fractions
+and the start of every residue class of a profile, a line index that
+counts full passes, seeded pairs of monoids with equal limits, wrapped or
+widened length columns of a build, and the fields of the package's value
+objects."""
 
 import random
 from fractions import Fraction
@@ -24,6 +25,13 @@ def replaced(value, **changes):
     if unknown:
         raise TypeError(f"{type(value).__name__} has no fields {sorted(unknown)}")
     return type(value)(**{name: changes.get(name, getattr(value, name)) for name in names})
+
+
+def finite_values(profile):
+    """The finite part as value -> smallest witness, in increasing value:
+    ``{Fraction(M, m): n}`` from ``profile.finite``.  Build it once per
+    profile; it is the ``finite_part`` view, made without reading it."""
+    return {Fraction(big, small): n for big, small, n in profile.finite.values()}
 
 
 def columns(profile):

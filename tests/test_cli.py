@@ -185,6 +185,12 @@ def test_compare_identical(capsys):
     assert out.splitlines()[0] == "EQUAL"
 
 
+def test_compare_one_generator(capsys):
+    # R(<1>) = {1}, decided by the limits alone
+    code, out, _ = run(capsys, "compare", "1", "1")
+    assert code == 0 and out == "EQUAL\n"
+
+
 def test_compare_sup_mismatch(capsys):
     code, out, _ = run(capsys, "compare", "3,5", "3,7")
     assert code == 0
@@ -194,10 +200,9 @@ def test_compare_sup_mismatch(capsys):
 def test_compare_invalid(capsys):
     code, _, err = run(capsys, "compare", "4,6", "3,5")
     assert code == 2 and "error" in err
-    code, out, err = run(capsys, "compare", "1", "1")  # <1> has no tails
-    assert code == 2 and out == "" and "error" in err
-    # a negative bound is refused for every pair, two progressions included
-    for pair in (("6,10,13,14", "6,11,13,14"), ("3,5", "3,5")):
+    # a negative bound is refused for every pair, two progressions and two
+    # copies of <1> included
+    for pair in (("6,10,13,14", "6,11,13,14"), ("3,5", "3,5"), ("1", "1")):
         code, out, err = run(capsys, "compare", *pair, "--tmax", "-1")
         assert code == 2 and out == "" and "nonnegative" in err
     # a bound no pair can meet is refused before any table is built

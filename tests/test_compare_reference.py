@@ -37,7 +37,7 @@ import numelast.profile
 from numelast.profile import _align_sequences
 
 import oracles
-from profile_helpers import _CountingLines, _same_limit_pairs, columns, replaced
+from profile_helpers import _CountingLines, _same_limit_pairs, columns, finite_values, replaced
 
 T_MAX = 50
 PAIRS = Path(__file__).resolve().parents[1] / "perfbench" / "pairs.json"
@@ -45,7 +45,7 @@ PAIRS = Path(__file__).resolve().parents[1] / "perfbench" / "pairs.json"
 
 def _candidates(profile, t_max):
     g1, gk = profile.monoid.g1, profile.monoid.gk
-    values = set(profile.finite_part)
+    values = set(finite_values(profile))
     # sequences that start from the same (M0, m0) take the same values
     for big, small in set(columns(profile)):
         values.update(Fraction(big + t * gk, small + t * g1) for t in range(t_max + 1))
@@ -113,15 +113,15 @@ def _expanded(verdict, S1, S2):
 def reference_verdict(S1, S2, t_max=T_MAX):
     p1, p2 = build_profile(S1), build_profile(S2)
     if p1.limit != p2.limit:
-        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), t_max, None, "limits")
+        return ComparisonVerdict("not_equal", max(p1.limit, p2.limit), None, "limits")
     for src, dst in ((p1, p2), (p2, p1)):
         for value in _candidates(src, t_max):
             if not contains_elasticity(dst, value)[0]:
-                return ComparisonVerdict("not_equal", value, t_max, None, "cross-check")
+                return ComparisonVerdict("not_equal", value, None, "cross-check")
     forward, backward = _align(p1, p2, t_max), _align(p2, p1, t_max)
     if forward is None or backward is None:
-        return ComparisonVerdict("unknown", None, t_max, None, "unaligned")
-    return ComparisonVerdict("equal", None, t_max, (forward, backward), "alignment")
+        return ComparisonVerdict("unknown", None, None, "unaligned")
+    return ComparisonVerdict("equal", None, (forward, backward), "alignment")
 
 
 def test_verdicts_match_reference_on_seeded_pairs():
@@ -177,8 +177,8 @@ def test_verdict_digest_is_pinned():
     for gens1, gens2, _ in pairs["pool"] + pairs["tier"]:
         p1, p2 = profile(tuple(gens1)), profile(tuple(gens2))
         for x, y in ((p1, p2), (p2, p1)):
-            v = compare_built_profiles(x, y)
-            digest.update(repr((v.outcome, v.witness, v.checked_bound, v.certificate)).encode())
+            v = compare_built_profiles(x, y, T_MAX)
+            digest.update(repr((v.outcome, v.witness, T_MAX, v.certificate)).encode())
     assert digest.hexdigest() == "d1927da8deeee056234f55c5d6ae3e34d4c4759d85c86329b0564f91c4d71b23"
 
 
@@ -326,9 +326,9 @@ def _check_alignment(a, src, dst, t_max):
 @example((new_monoid([4, 5, 7]), new_monoid([4, 6, 7])))  # has an alignment with t0 = 1
 def test_compare_is_reflexive_and_symmetric(pair):
     p1, p2 = build_profile(pair[0]), build_profile(pair[1])
-    verdicts = [compare_built_profiles(p, p) for p in (p1, p2)]
+    verdicts = [compare_built_profiles(p, p, T_MAX) for p in (p1, p2)]
     assert [v.outcome for v in verdicts] == ["equal", "equal"]
-    there, back = compare_built_profiles(p1, p2), compare_built_profiles(p2, p1)
+    there, back = compare_built_profiles(p1, p2, T_MAX), compare_built_profiles(p2, p1, T_MAX)
     assert there.outcome == back.outcome
     if there.certificate is not None:
         assert there.certificate == back.certificate[::-1]
@@ -340,6 +340,6 @@ def test_compare_is_reflexive_and_symmetric(pair):
         for side, src, dst in zip(verdict.certificate or (), sources, sources[::-1]):
             assert [a.source for a in side] == list(_first_indices(src).values())
             for a in side:
-                _check_alignment(a, src, dst, verdict.checked_bound)
+                _check_alignment(a, src, dst, T_MAX)
             finite, _ = _oracle_parts(src.monoid.generators)
             assert all(_oracle_contains(dst.monoid.generators, q) for q in finite)

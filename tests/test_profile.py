@@ -35,7 +35,7 @@ from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
 from numelast.profile import _first_codes, _pair_codes
 
 import oracles
-from profile_helpers import field_names, replaced, widen_columns, wrap_columns
+from profile_helpers import field_names, finite_values, replaced, widen_columns, wrap_columns
 from test_compare_reference import expand
 
 S35 = new_monoid([3, 5])
@@ -53,8 +53,8 @@ def test_build_profile_shape():
 
 def test_build_profile_matches_row_scan_oracle():
     # the command-line ladder, <65,79,83> and 300 seeded monoids of 2 to 6
-    # generators below 150; item order counts, as finite_part, starts and
-    # lines promise it
+    # generators below 150; item order counts, as finite, starts and lines
+    # promise it
     rng = random.Random(20)
     fixed = (7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203), (65, 79, 83)
     monoids = [new_monoid(gens) for gens in fixed]
@@ -66,7 +66,7 @@ def test_build_profile_matches_row_scan_oracle():
         prof = build_profile(S)
         rows = iter_lengths(S, 1, prof.base + prof.period - 1)
         finite, starts, lines = oracles.row_scan_profile(S.generators, rows)
-        assert [(*v.as_integer_ratio(), w) for v, w in prof.finite_part.items()] == finite, S
+        assert [(*v.as_integer_ratio(), w) for v, w in finite_values(prof).items()] == finite, S
         assert list(prof.starts.items()) == list(starts.items()), S
         assert list(prof.lines.items()) == list(lines.items()), S
     assert {len(S.generators) for S in monoids} == {2, 3, 4, 5, 6}
@@ -166,7 +166,7 @@ def test_profile_rejects_single_generator():
 def test_finite_part_contains_one_with_witness_g1():
     for gens in [(3, 5), (7, 12, 17, 22), (20, 21, 45)]:
         prof = build_profile(new_monoid(gens))
-        assert prof.finite_part[Fraction(1)] == gens[0]
+        assert finite_values(prof)[Fraction(1)] == gens[0]
 
 
 def test_sequences_cover_window_and_members():
@@ -263,6 +263,9 @@ def test_sequence_value_examples_and_errors():
         sequence_value(prof, 15, 0)
     with pytest.raises(IndexOutOfRange):
         sequence_value(prof, 0, -1)
+    for index, t in ((3.0, 0), ("3", 0), (3, 1.0), (3, "1")):
+        with pytest.raises(TypeError):
+            sequence_value(prof, index, t)
 
 
 def test_sequences_increase_toward_limit():
@@ -347,11 +350,12 @@ def test_profile_decomposition_matches_bruteforce():
     for gens in [(3, 5), (2, 3), (7, 12, 17, 22)]:
         S = new_monoid(gens)
         prof = build_profile(S)
+        finite = finite_values(prof)
         bound = prof.base + 10 * prof.period
         rho = oracles.elasticity_map(gens, bound)
         for n, value in rho.items():
             if n < prof.base:
-                assert value in prof.finite_part
+                assert value in finite
             else:
                 idx = (n - prof.base) % prof.period
                 t = (n - prof.base) // prof.period
@@ -412,6 +416,20 @@ def test_compare_profiles_limit_mismatch():
         assert verdict.witness == Fraction(7, 3)
 
 
+def test_compare_profiles_of_one_generator_answer_by_limits():
+    # g_k/g_1 = 1 only for <1>, whose set is {1}: decided before build_profile,
+    # which refuses <1>
+    one = new_monoid([1])
+    cases = ((one, "equal", None), (new_monoid([3, 5]), "not_equal", Fraction(5, 3)))
+    for other, outcome, witness in cases:
+        for verdict in (compare_profiles(one, other), compare_profiles(other, one, 0)):
+            assert (verdict.outcome, verdict.witness, verdict.certificate, verdict.reason) == (
+                outcome, witness, None, "limits"
+            )
+    with pytest.raises(IndexOutOfRange):
+        compare_profiles(one, one, -1)
+
+
 def test_compare_profiles_reflexive_and_symmetric():
     fixtures = [(3, 5), (6, 10, 13, 14), (7, 12, 17, 22)]
     monoids = [new_monoid(g) for g in fixtures]
@@ -449,6 +467,9 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
         for negative in (-1, -5):
             with pytest.raises(IndexOutOfRange):
                 compare_profiles(S, S, negative)
+        for not_int in (0.5, 1.0, "3"):
+            with pytest.raises(TypeError):
+                compare_profiles(S, S, not_int)
         # every profile has a start, so 2 (t_max + 1) > TABLE_LIMIT fails
         # any pair; <6,10,13,14> is no progression, so only the bound refuses
         for too_large in (TABLE_LIMIT // 2, 10**18):
@@ -466,6 +487,9 @@ def test_compare_rejects_tmax_out_of_range(monkeypatch):
             compare_built_profiles(poisoned, poisoned, too_large)
     with pytest.raises(IndexOutOfRange):
         compare_built_profiles(poisoned, poisoned, -1)
+    for not_int in (0.5, 1.0, "3"):
+        with pytest.raises(TypeError):
+            compare_built_profiles(poisoned, poisoned, not_int)
 
 
 def test_certificate_identity_spot_check():
@@ -512,7 +536,7 @@ def test_profile_json_pieces():
 def test_profile_stored_at_its_true_size():
     # one entry per distinct start and per finite value, none per residue class
     prof = build_profile(new_monoid([101, 157, 203]))
-    assert (prof.period, len(prof.starts), len(prof.finite_part)) == (20503, 1085, 1749)
+    assert (prof.period, len(prof.starts), len(prof.finite)) == (20503, 1085, 1749)
     values = [getattr(prof, name) for name in field_names(prof)]
     assert prof.period not in [len(v) for v in values if hasattr(v, "__len__")]
 
@@ -548,7 +572,7 @@ def test_profile_json_schema_round_trip():
             "generators": list(prof.monoid.generators),
             "base": prof.base,
             "period": prof.period,
-            "finite_part": [[v.numerator, v.denominator, w] for v, w in prof.finite_part.items()],
+            "finite_part": [[v.numerator, v.denominator, w] for v, w in finite_values(prof).items()],
             "sequences": [list(row) for row in iter_lengths(prof.monoid, prof.base, end)],
         }
         text = profile_to_json(prof)

@@ -19,17 +19,17 @@ from hypothesis import strategies as st
 from numelast import build_profile, contains_elasticity, elasticity, new_monoid, sequence_value
 
 import oracles
-from profile_helpers import _CountingLines, columns, replaced
+from profile_helpers import _CountingLines, columns, finite_values, replaced
 
 raw_sets = st.lists(st.integers(1, 40), min_size=2, max_size=5).filter(lambda raw: gcd(*raw) == 1)
 bounded = settings(derandomize=True, max_examples=30, deadline=None)
 
 
-def _full_scan(profile, q):
+def _full_scan(profile, finite, q):
     q = Fraction(q)
     if q < 1 or q > profile.limit:
         return False, None
-    for value, witness in profile.finite_part.items():
+    for value, witness in finite.items():
         if value == q:
             return True, witness
     g1, gk = profile.monoid.g1, profile.monoid.gk
@@ -46,9 +46,9 @@ def _full_scan(profile, q):
     return False, None
 
 
-def _queries(data, profile):
+def _queries(data, profile, finite):
     g1, gk = profile.monoid.g1, profile.monoid.gk
-    queries = data.draw(st.lists(st.sampled_from(list(profile.finite_part)), max_size=15))
+    queries = data.draw(st.lists(st.sampled_from(list(finite)), max_size=15))
     steps = st.tuples(st.integers(0, profile.period - 1), st.integers(0, 60))
     queries += [sequence_value(profile, i, t) for i, t in data.draw(st.lists(steps, max_size=15))]
     for den in data.draw(st.lists(st.integers(1, 500), max_size=15)):
@@ -68,19 +68,20 @@ def test_membership_matches_full_scan_and_witnesses_round_trip(raw, data):
     assert list(profile.starts.items()) == list(firsts.items())  # in order of first appearance
     # contains_elasticity solves the tails only below the limit: the finite
     # part always holds the limit, with a witness at most g_1 g_k
-    assert profile.limit in profile.finite_part and profile.finite_part[profile.limit] <= S.g1 * S.gk
+    finite = finite_values(profile)
+    assert profile.limit in finite and finite[profile.limit] <= S.g1 * S.gk
     smallest = {}  # value -> smallest element, over the finite part's range
     values = oracles.recurrence_elasticity_map(S.generators, profile.base + profile.period - 1)
     for n, value in values.items():  # in increasing n
         smallest.setdefault(value, n)
     # every value, its order and its smallest witness
-    assert list(profile.finite_part.items()) == sorted(smallest.items())
-    for q in _queries(data, profile):
+    assert list(finite.items()) == sorted(smallest.items())
+    for q in _queries(data, profile, finite):
         found, witness = contains_elasticity(profile, q)
-        assert (found, witness) == _full_scan(profile, q)
+        assert (found, witness) == _full_scan(profile, finite, q)
         if found:
             assert elasticity(S, witness) == q
-            if q in profile.finite_part:
+            if q in finite:
                 assert witness == smallest[q]
 
 
@@ -101,10 +102,10 @@ def _traced(profile, q):
     return result, lines.passes == 0
 
 
-def _seeded_queries(rng, profile):
+def _seeded_queries(rng, profile, finite):
     S, period = profile.monoid, profile.period
     g1, gk = S.g1, S.gk
-    finite = list(profile.finite_part)
+    finite = list(finite)
     queries = rng.sample(finite, min(len(finite), 20))
     for _ in range(25):
         queries.append(sequence_value(profile, rng.randrange(period), rng.randint(0, 60)))
@@ -134,25 +135,27 @@ def test_membership_matches_start_scan_oracle_on_seeded_queries():
     paths = {True: 0, False: 0}  # walk, pass over every line
     for S in monoids:
         profile = build_profile(S)
-        for q in _seeded_queries(rng, profile):
+        finite = finite_values(profile)
+        for q in _seeded_queries(rng, profile, finite):
             (found, witness), walked = _traced(profile, q)
-            assert (found, witness) == oracles.start_scan_membership(profile, q), (S.generators, q)
+            scanned = oracles.start_scan_membership(profile, finite, q)
+            assert (found, witness) == scanned, (S.generators, q)
             assert (found, witness) == contains_elasticity(profile, q)
             if found:
                 assert elasticity(S, witness) == q
             q = Fraction(q)
-            if 1 < q < profile.limit and q not in profile.finite_part:
+            if 1 < q < profile.limit and q not in finite:
                 paths[walked] += 1
     assert paths[True] >= 50 and paths[False] >= 50, paths
 
 
-def _colliding_queries(rng, profile):
+def _colliding_queries(rng, profile, finite):
     """Queries (num N +- 1)/(den N) next to sampled finite values num/den,
     with N = 2 K den, K the profile's key scale: q K lies within 1/(2 den^2)
     of num K/den, so q takes that value's key, on the side below only when
     num K/den is not an integer."""
     K = profile.key_scale
-    values = rng.sample(list(profile.finite_part), min(len(profile.finite_part), 40))
+    values = rng.sample(list(finite), min(len(finite), 40))
     queries = []
     for v in values:
         num, den = v.numerator, v.denominator
@@ -166,25 +169,29 @@ def _colliding_queries(rng, profile):
 @pytest.mark.parametrize("gens", [(7, 12, 17, 22), (31, 57, 73, 101), (101, 157, 203)])
 def test_finite_key_collisions_are_confirmed_exactly(gens):
     # a query that shares a finite value's integer key without equalling it
-    # must not take that value's witness; the oracle reads the Fraction-keyed
-    # finite_part and shares no code with the key lookup
+    # must not take that value's witness; the oracle reads the finite part
+    # keyed by Fraction and shares no code with the key lookup
     rng = random.Random(22)
     profile = build_profile(new_monoid(gens))
-    K = profile.key_scale
-    collisions = _colliding_queries(rng, profile)
+    K, finite = profile.key_scale, finite_values(profile)
+
+    def scan(q):
+        return oracles.start_scan_membership(profile, finite, q)
+
+    collisions = _colliding_queries(rng, profile, finite)
     assert len(collisions) > 40
     for v, q in collisions:
         assert q != v and q.numerator * K // q.denominator == v.numerator * K // v.denominator
-        assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q), (gens, q)
-        assert contains_elasticity(profile, v) == (True, profile.finite_part[v])
+        assert contains_elasticity(profile, q) == scan(q), (gens, q)
+        assert contains_elasticity(profile, v) == (True, finite[v])
     for q in (1, 1.5, Fraction(3, 2), 2):
-        assert contains_elasticity(profile, q) == oracles.start_scan_membership(profile, q), (gens, q)
+        assert contains_elasticity(profile, q) == scan(q), (gens, q)
 
 
 def test_build_and_finite_hits_make_no_fraction(monkeypatch):
     # the finite part is kept and looked up in integers: a build and a
     # finite-part hit on a Fraction the caller already holds make none, and
-    # finite_part makes one per value, once
+    # finite_part makes one per value
     made = []
 
     class CountingFraction(Fraction):
@@ -197,7 +204,7 @@ def test_build_and_finite_hits_make_no_fraction(monkeypatch):
         profile = build_profile(new_monoid(gens))
         assert made == []
         values = list(profile.finite_part)
-        assert len(made) == len(profile.finite) and profile.finite_part is profile.finite_part
+        assert len(made) == len(profile.finite)
         made.clear()
         for q in values:
             assert contains_elasticity(profile, q)[0]
@@ -240,7 +247,7 @@ def test_witness_is_the_hit_start_of_smallest_first_class(t, smallest_class):
     assert sum(len(line) == 4 for line in profile.lines.values()) == 37
     assert profile.lines[1508] == (310, 75, 521, 84306)
     q = sequence_value(profile, 84306, t)
-    assert q not in profile.finite_part
+    assert q not in finite_values(profile)
     u = q.denominator * gk - q.numerator * g1
     hits = []  # (J, first class, step t) of every start that attains q, in walk order
     for start, i in profile.starts.items():
@@ -257,7 +264,7 @@ def test_witness_is_the_hit_start_of_smallest_first_class(t, smallest_class):
         assert (2204, 0) in {hit[:2] for hit in hits}
     witness = profile.base + smallest[1] + smallest[2] * profile.period
     assert _traced(profile, q) == ((True, witness), True)
-    assert oracles.start_scan_membership(profile, q) == (True, witness)
+    assert oracles.start_scan_membership(profile, finite_values(profile), q) == (True, witness)
     assert elasticity(S, witness) == q
 
 
@@ -270,4 +277,4 @@ def test_line_point_before_its_ray_start_is_no_hit(q, J, m0, y):
     assert m0 in profile.lines[J][::2] and y == m0 - 2 * S.g1
     assert q == Fraction(S.gk * y - J, S.g1 * y)
     assert _traced(profile, q) == ((False, None), True)
-    assert oracles.start_scan_membership(profile, q) == (False, None)
+    assert oracles.start_scan_membership(profile, finite_values(profile), q) == (False, None)
