@@ -45,6 +45,7 @@ from .lengths import (
     factorizations,
     find_proper_subcollection,
     iter_lengths,
+    iter_row_text,
     length_set,
     length_stats_range,
     max_length,

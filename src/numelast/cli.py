@@ -10,9 +10,11 @@ test suite).
 stats and profile stream their output, so memory does not grow with the
 range or the period; plot holds 16 bytes a point, as its axes come first,
 and refuses a range of more than TABLE_LIMIT integers before any work.
-stats formats the text after n once per distinct (M, m) pair of each slice
-of WRITE_CHUNK rows, so n is the only number converted on every row.  A
-reader that closes stdout early ends them quietly.
+All three write one slice of at most WRITE_CHUNK rows at a time.  In a
+slice, stats and profile (through lengths.iter_row_text) format the text
+after n once per distinct (M, m) pair and write n through a table of digits,
+and plot formats cy once per distinct y; no number is converted on every
+row but plot's cx.  A reader that closes stdout early ends them quietly.
 
 compare prints the verdict of compare_profiles, which decides two arithmetic
 progressions by the paper's theorem alone, and two monoids of differing
@@ -28,17 +30,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain
 from math import gcd
 
 from . import arithmetical as ar
 from .errors import InternalInconsistency, MonoidError, TableTooLarge
-from .lengths import iter_lengths
+from .lengths import iter_lengths, iter_row_text
 from .monoid import (
-    TABLE_LIMIT, WRITE_CHUNK, NumericalMonoid, WindowTables, detect_arithmetical, max_elasticity,
-    new_monoid, window_tables,
+    TABLE_LIMIT, NumericalMonoid, detect_arithmetical, max_elasticity, new_monoid,
 )
 from .profile import T_MAX, build_profile, compare_profiles, profile_json_pieces
 from .svg import scatter_svg
@@ -97,48 +98,24 @@ def _write_output(pieces: Iterable[str], path: str | None) -> int:
     return 0
 
 
-def _joined(pieces: Iterator[str]) -> Iterator[str]:
-    """Row-sized ``pieces``, none empty, joined WRITE_CHUNK at a time: an
-    unbuffered stdout (``python -u``) makes one write call per piece."""
-    return iter(lambda: "".join(islice(pieces, WRITE_CHUNK)), "")
-
-
-def _stats_slices(tables: WindowTables, lo: int, hi: int, head: str, tail: str) -> Iterator[str]:
-    """The rows of [lo, hi] as one string per slice of at most WRITE_CHUNK
-    rows.  A row is ``head``, n and ``tail % (M, m, p, q)``, p/q being M/m
-    reduced (1/1 at n = 0).  The tail is formatted once per distinct (M, m)
-    of a slice, so n is the only number converted on every row; the gaps,
-    whose pair is (-1, -1), have no row."""
-    for start, max_col, min_col in tables.columns(lo, hi):
-        for a in range(0, len(max_col), WRITE_CHUNK):
-            bigs, smalls = max_col[a:a + WRITE_CHUNK], min_col[a:a + WRITE_CHUNK]
-            ns = range(start + a, start + a + len(bigs))
-            texts = dict.fromkeys(zip(bigs, smalls))
-            if (-1, -1) in texts:
-                del texts[-1, -1]
-                kept = [small >= 0 for small in smalls]
-                ns = list(compress(ns, kept))
-                bigs, smalls = compress(bigs, kept), compress(smalls, kept)
-            for big, small in texts:
-                d = gcd(big, small)  # 0 only at n = 0
-                texts[big, small] = tail % ((big, small, big // d, small // d) if d else (0, 0, 1, 1))
-            pieces = [head] * (3 * len(ns))
-            pieces[1::3] = map(str, ns)
-            pieces[2::3] = map(texts.__getitem__, zip(bigs, smalls))
-            yield "".join(pieces)
-
-
 def cmd_stats(args) -> int:
     S, lo, hi = _range(args)
-    tables = window_tables(S.generators)  # over the budget: exit 2 before any write
     if args.format == "csv":
-        pieces = chain((CSV_HEADER,), _stats_slices(tables, lo, hi, "\n", ",%d,%d,%d,%d"), ("\n",))
+        head, tail = "\n", ",%d,%d,%d,%d"
+    else:
+        head, tail = ',{"n":', ',"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
+
+    def pair_text(pair: tuple[int, int]) -> str:
+        big, small = pair
+        d = gcd(big, small)  # 0 only at n = 0
+        return tail % ((big, small, big // d, small // d) if d else (0, 0, 1, 1))
+
+    slices = iter_row_text(S, lo, hi, head, pair_text)  # over the budget: exit 2 before any write
+    if args.format == "csv":
+        pieces = chain((CSV_HEADER,), slices, ("\n",))
     else:
         # rows joined by commas, as json.dumps(rows, separators=(",", ":")):
         # each row opens with one, cut from the first
-        slices = filter(None, _stats_slices(
-            tables, lo, hi, ',{"n":', ',"max_len":%d,"min_len":%d,"rho_num":%d,"rho_den":%d}'
-        ))
         pieces = chain(("[", next(slices, ",")[1:]), slices, ("]\n",))
     return _write_output(pieces, args.output)
 
@@ -154,7 +131,7 @@ def cmd_plot(args) -> int:
         points = ((n, big) for n, big, _ in lengths)
     else:
         points = ((n, small) for n, _, small in lengths)
-    return _write_output(_joined(scatter_svg(points, title=f"{S} {args.kind}")), args.output)
+    return _write_output(scatter_svg(points, title=f"{S} {args.kind}"), args.output)
 
 
 def cmd_recover(args) -> int:
@@ -192,7 +169,7 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     profile = build_profile(_parse_generators(args.generators))
-    return _write_output(_joined(chain(profile_json_pieces(profile), ("\n",))), args.output)
+    return _write_output(chain(profile_json_pieces(profile), ("\n",)), args.output)
 
 
 def cmd_verify(args) -> int:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import compress
 from math import comb
 
 from .errors import EnumerationLimitExceeded, NoSubcollection, NotInMonoid
-from .monoid import NumericalMonoid, window_tables
+from .monoid import WRITE_CHUNK, NumericalMonoid, window_tables
 from .records import FrozenRecord
 
 #: factorizations() refuses, before any work, an n with n * g_1 above this,
@@ -152,6 +153,55 @@ def iter_lengths(S: NumericalMonoid, lo: int, hi: int) -> Iterator[tuple[int, in
     The monoid's breakpoints are found, or TableTooLarge raised, by this call.
     """
     return window_tables(S.generators).rows(lo, hi)
+
+
+def iter_row_text(
+    S: NumericalMonoid, lo: int, hi: int, head: str, pair_text: Callable[[tuple[int, int]], str]
+) -> Iterator[str]:
+    """The rows of the monoid elements in [lo, hi], ascending, as one string
+    per slice of at most WRITE_CHUNK rows, none empty.  A row is ``head``, n
+    in decimal and ``pair_text((M(n), m(n)))``.
+
+    pair_text is called once per distinct pair of a slice, and n is written
+    without converting each row: a block of 1,000 consecutive n >= 1,000
+    shares one ``head + str(n // 1000)``, and the last three digits come from
+    a table of 1,000 strings.  The monoid's breakpoints are found, or
+    TableTooLarge raised, by this call.
+    """
+    return _row_slices(window_tables(S.generators).columns(lo, hi), head, pair_text)
+
+
+def _row_slices(columns, head: str, pair_text) -> Iterator[str]:
+    low_digits = ["%03d" % r for r in range(1000)]
+    for start, max_col, min_col in columns:
+        for i in range(0, len(max_col), WRITE_CHUNK):
+            bigs, smalls = max_col[i:i + WRITE_CHUNK], min_col[i:i + WRITE_CHUNK]
+            a, b = start + i, start + i + len(bigs)
+            heads: list[str] = []
+            lows: list[str] = []
+            for block in range(a // 1000, (b + 999) // 1000):
+                c, d = max(a, 1000 * block), min(b, 1000 * block + 1000)
+                if block:
+                    heads += [head + str(block)] * (d - c)
+                    lows += low_digits[c - 1000 * block:d - 1000 * block]
+                else:  # below 1,000, n is its own text
+                    heads += [head] * (d - c)
+                    lows += map(str, range(c, d))
+            texts = dict.fromkeys(zip(bigs, smalls))
+            if (-1, -1) in texts:  # the gaps, outside the monoid, have no row
+                del texts[-1, -1]
+                if not texts:
+                    continue
+                kept = [small >= 0 for small in smalls]
+                heads, lows = list(compress(heads, kept)), list(compress(lows, kept))
+                bigs, smalls = compress(bigs, kept), compress(smalls, kept)
+            for pair in texts:
+                texts[pair] = pair_text(pair)
+            pieces = [head] * (3 * len(heads))
+            pieces[0::3] = heads
+            pieces[1::3] = lows
+            pieces[2::3] = map(texts.__getitem__, zip(bigs, smalls))
+            yield "".join(pieces)
 
 
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:

@@ -46,9 +46,10 @@ MAX_GENERATOR = 10**6
 #: by it, and the plot command the integers of its range (16 bytes a point).
 TABLE_LIMIT = 10**7
 
-#: Least number of entries in one chunk of length columns, and of pieces in
-#: one write of the command line: rows and output stream in chunks of about
-#: this many, so memory does not grow with the length of a range
+#: Least number of entries in one chunk of length columns, and most rows in
+#: one slice of the command line's output, which is one write: rows and
+#: output stream in chunks of about this many, so memory does not grow with
+#: the length of a range
 WRITE_CHUNK = 4096
 
 #: Monoids whose tables stay cached: a comparison reads two at a time, every

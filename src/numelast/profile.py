@@ -66,7 +66,7 @@ from math import gcd
 
 from .arithmetical import arithmetical_witness, elasticity_sets_equal_arithmetical
 from .errors import IndexOutOfRange, InternalInconsistency, SingleGenerator, TableTooLarge
-from .lengths import iter_lengths, max_length, min_length
+from .lengths import iter_row_text, max_length, min_length
 from .monoid import (
     TABLE_LIMIT,
     NumericalMonoid,
@@ -555,20 +555,22 @@ def compare_built_profiles(
 
 def profile_json_pieces(profile: ElasticityProfile) -> Iterator[str]:
     """Compact JSON, in pieces: the generators, base, period and the finite
-    part as [num,den,witness] in increasing value, as one piece; then one
-    [n,M,m] piece per class, read from the length columns; then the close."""
+    part as [num,den,witness] in increasing value, as one piece; then the
+    [n,M,m] row of each class, read from the length columns, as one piece
+    per slice of at most WRITE_CHUNK rows; then the close."""
     S, base, end = profile.monoid, profile.base, profile.base + profile.period - 1
-    row = "[%d,%d,%d]"
     finite = ",".join(
-        row % (big // (g := gcd(big, small)), small // g, n)
+        "[%d,%d,%d]" % (big // (g := gcd(big, small)), small // g, n)
         for big, small, n in profile.finite.values()
     )
     yield '{"generators":[%s],"base":%d,"period":%d,"finite_part":[%s],"sequences":[' % (
         ",".join(map(str, S.generators)), base, profile.period, finite
     )
-    rows = iter_lengths(S, base, end)  # every class: base lies past the Frobenius number
-    yield row % next(rows)
-    yield from map(("," + row).__mod__, rows)
+    # every class: base lies past the Frobenius number; each row opens with
+    # a comma, cut from the first
+    slices = iter_row_text(S, base, end, ",[", ",%d,%d]".__mod__)
+    yield next(slices)[1:]
+    yield from slices
     yield "]}"
 
 

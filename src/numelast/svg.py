@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from math import ulp
+from operator import add, mul, sub, truediv
+
+from .monoid import WRITE_CHUNK
 
 WIDTH = 800
 HEIGHT = 600
@@ -18,11 +22,14 @@ def _fmt(value: float) -> str:
 def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iterator[str]:
     """Render (x, y) pairs, x an int and y a float or int, as an SVG scatter.
 
-    Yields the document line by line, each line ending in a newline; the
-    points are held as two packed columns (8 bytes a coordinate), since the
-    axis ranges come before the first point; x as its offset from the first
-    point's, so x may pass 2**63.  Output is byte-deterministic for a fixed
-    point list: coordinates have two decimals and points keep their order.
+    Yields the head, the points' lines in slices of at most WRITE_CHUNK,
+    then the close, each line ending in a newline.  The points are held as
+    two packed columns (8 bytes a coordinate), since the axis ranges come
+    before the first point; x as its offset from the first point's, so x
+    may pass 2**63.  A slice computes cx in C, one operation at a time, and
+    formats cy once per distinct y.  Output is byte-deterministic for a
+    fixed point list: coordinates have two decimals and points keep their
+    order.
     """
     xs, ys = array("q"), array("d")
     x0 = None
@@ -55,7 +62,8 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black" stroke-width="1"/>',
     ]
-    if title:
+    if title:  # as character data: a monoid's <...> is markup otherwise
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'<text x="{WIDTH // 2}" y="30" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{title}</text>'
@@ -78,8 +86,17 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
     )
     yield "\n".join(lines) + "\n"
     shift = x_lo - x0  # an offset minus shift is x - x_lo
-    for dx, y in zip(xs, ys):
-        cx = MARGIN + (dx - shift) / span_x * inner_w
-        cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
-        yield f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="steelblue"/>\n'
+    for i in range(0, len(xs), WRITE_CHUNK):
+        # cx = MARGIN + (dx - shift) / span_x * inner_w, one step per map
+        cx = map(add, repeat(MARGIN), map(mul, map(truediv, map(
+            sub, xs[i:i + WRITE_CHUNK], repeat(shift)), repeat(span_x)), repeat(inner_w)))
+        chunk = ys[i:i + WRITE_CHUNK]
+        texts = dict.fromkeys(chunk)
+        for y in texts:
+            cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
+            texts[y] = f'{cy:.2f}" r="2" fill="steelblue"/>\n'
+        pieces = ['<circle cx="', "", '" cy="', ""] * len(chunk)
+        pieces[1::4] = map(format, cx, repeat(".2f"))
+        pieces[3::4] = map(texts.__getitem__, chunk)
+        yield "".join(pieces)
     yield "</svg>\n"

@@ -7,15 +7,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from array import array
 from pathlib import Path
 
 import pytest
 
 import numelast
-from numelast.cli import WRITE_CHUNK, main
+from numelast.cli import main
 from numelast.lengths import length_stats_range
-from numelast.monoid import WindowTables
+from numelast.monoid import WRITE_CHUNK, WindowTables
 
 from profile_helpers import replaced, widen_columns, wrap_columns
 
@@ -106,6 +107,9 @@ def test_plot_svg_structure(capsys):
     members = [n for n in range(41) if n == 0 or numelast.contains(numelast.new_monoid([3, 5, 7]), n)]
     assert out.count("<circle") == len(members)
     assert 'r="2"' in out
+    # well-formed XML, the monoid's <...> in the title escaped
+    root = ET.fromstring(out)
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "<3,5,7> rho"
 
 
 def test_plot_deterministic(capsys):
@@ -463,6 +467,7 @@ def _reference_svg(points, *, title=""):
         '<line x1="60" y1="60" x2="60" y2="540" stroke="black" stroke-width="1"/>',
     ]
     if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append('<text x="400" y="30" text-anchor="middle" '
                      f'font-family="monospace" font-size="14">{title}</text>')
     lines.append(f'<text x="60" y="560" font-family="monospace" font-size="11">{x_lo}</text>')
@@ -498,7 +503,8 @@ def _reference_output(gens, lo, hi, output):
 
 
 @pytest.mark.parametrize("gens", [(1,), (3, 5), (6, 10, 13, 14), (7, 12, 17, 22)])
-@pytest.mark.parametrize("span", ["default", "negative", "empty", "past_window", "long", "single"])
+@pytest.mark.parametrize("span", ["default", "negative", "empty", "past_window", "long", "single",
+                                  "across_1000", "across_100000"])
 def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
     default_hi = 100 if len(gens) == 1 else gens[-2] * gens[-1] + 10 * gens[0] * gens[-1]
     lo, hi = {
@@ -508,6 +514,8 @@ def test_streamed_output_matches_reference(gens, span, tmp_path, capsys):
         "past_window": (2000, 2100),  # past (g_k - 1) g_{k-1} for every monoid here
         "long": (0, WRITE_CHUNK + 100),  # rows across a chunk boundary
         "single": (0, 0),  # one point: both axes widen around it
+        "across_1000": (990, 1010),  # n from its own text to the digit table
+        "across_100000": (99_990, 100_010),  # a sixth digit, past every window here
     }[span]
     bounds = [] if span == "default" else ["--from", str(lo), "--to", str(hi)]
     text = ",".join(map(str, gens))
@@ -543,10 +551,12 @@ def test_plot_past_int64_matches_reference(capsys):
     # lists of ints at 10**20, where every M and m is past 2**63 too
     ((3, 5), 10**19, 10**19 + 5),
     ((3, 5), 10**20, 10**20 + 5),
+    # n gains its twentieth digit at 10**19, and so does str(n // 1000)
+    ((3, 5), 10**19 - 5, 10**19 + 5),
     # F = 9,599: gaps in three 4,096-row slices, across the 6,464-entry
     # column chunk seam
     ((97, 101), 0, 12000),
-], ids=["past_int64", "past_int64_lengths", "gaps_across_seams"])
+], ids=["past_int64", "past_int64_lengths", "across_10_pow_19", "gaps_across_seams"])
 def test_stats_matches_reference(gens, lo, hi, tmp_path, capsys):
     target = tmp_path / "out"
     for output in ("csv", "json"):
@@ -601,12 +611,16 @@ def test_closed_stdout_exits_0():
 
 class CountedWrites(io.StringIO):
     """A stdout that counts write calls, as ``python -u`` makes a system
-    call of each."""
+    call of each, and keeps the most rows one call held: newlines, JSON
+    objects, SVG points and [n,M,m] rows after the first."""
 
     calls = 0
+    most_rows = 0
 
     def write(self, text):
         self.calls += 1
+        rows = max(text.count(mark) for mark in ("\n", '{"n":', "<circle", "],["))
+        self.most_rows = max(self.most_rows, rows)
         return super().write(text)
 
 
@@ -617,11 +631,13 @@ class CountedWrites(io.StringIO):
     ["profile", "101,157,203"],
 ])
 def test_output_is_written_in_chunks(monkeypatch, args):
-    # rows reach the writer joined by the thousand, not one write call each
+    # rows reach the writer joined by the thousand, not one write call each,
+    # and no more than one slice of them at a time, not the whole output
     out = CountedWrites()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(args) == 0
     assert len(out.getvalue()) >= WRITE_CHUNK * out.calls, out.calls
+    assert 0 < out.most_rows <= WRITE_CHUNK, out.most_rows
 
 
 def test_stats_memory_does_not_grow_with_range(tmp_path):

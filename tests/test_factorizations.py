@@ -17,6 +17,7 @@ from numelast import (
     factorizations,
     find_proper_subcollection,
     iter_lengths,
+    iter_row_text,
     length_set,
     length_stats_range,
     max_elasticity,
@@ -25,6 +26,7 @@ from numelast import (
     new_monoid,
 )
 from numelast.lengths import ENUMERATION_LIMIT
+from numelast.monoid import WRITE_CHUNK
 
 import oracles
 
@@ -247,6 +249,33 @@ def test_iter_lengths_matches_length_stats_range():
         assert list(iter_lengths(S, -3, -1)) == []
     assert list(iter_lengths(S357, 4, 4)) == []  # a gap of <3,5,7>
     assert list(iter_lengths(S357, -5, 6)) == [(0, 0, 0), (3, 1, 1), (5, 1, 1), (6, 2, 2)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-5, 12000),  # gaps up to F = 9,599, across n = 1,000 and slice seams
+    (990, 1010),
+    (99_990, 100_010),
+    (10**19 - 5, 10**19 + 5),  # str(n // 1000) gains a digit too
+    (98, 100),  # gaps only: no slice at all
+])
+def test_iter_row_text_matches_iter_lengths(lo, hi):
+    # one string per slice of at most WRITE_CHUNK rows, none empty, and one
+    # pair_text call per distinct (M, m) of a slice
+    calls = []
+
+    def pair_text(pair):
+        calls.append(pair)
+        return ",%d,%d;" % pair
+
+    S = new_monoid([97, 101])
+    slices = list(iter_row_text(S, lo, hi, "|", pair_text))
+    assert "".join(slices) == "".join("|%d,%d,%d;" % row for row in iter_lengths(S, lo, hi))
+    distinct = 0
+    for piece in slices:
+        rows = piece[1:-1].split(";|")
+        assert 0 < len(rows) <= WRITE_CHUNK
+        distinct += len({tuple(row.split(",")[1:]) for row in rows})
+    assert len(calls) == distinct
 
 
 def test_subcollection_examples():

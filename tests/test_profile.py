@@ -31,7 +31,7 @@ from numelast import (
     sequence_value,
 )
 
-from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, window_tables
+from numelast.monoid import TABLE_CACHE_SIZE, TABLE_LIMIT, WRITE_CHUNK, window_tables
 from numelast.profile import _first_codes, _pair_codes
 
 import oracles
@@ -522,15 +522,21 @@ def test_profile_json_golden():
 
 
 def test_profile_json_pieces():
-    # the header with the finite part, one piece per class, then the close
+    # the header with the finite part, the class rows a slice at a time,
+    # then the close; the pieces join to the whole text
     prof = build_profile(new_monoid([2, 3]))
     assert list(profile_json_pieces(prof)) == [
         '{"generators":[2,3],"base":6,"period":6,'
         '"finite_part":[[1,1,2],[5,4,10],[4,3,8],[3,2,6]],"sequences":[',
-        "[6,3,2]", ",[7,3,3]", ",[8,4,3]", ",[9,4,3]", ",[10,5,4]", ",[11,5,4]", "]}",
+        "[6,3,2],[7,3,3],[8,4,3],[9,4,3],[10,5,4],[11,5,4]", "]}",
     ]
     prof = build_profile(new_monoid([101, 157, 203]))
-    assert sum(1 for _ in profile_json_pieces(prof)) == prof.period + 2
+    pieces = list(profile_json_pieces(prof))
+    end = prof.base + prof.period - 1
+    assert json.loads("[" + "".join(pieces[1:-1]) + "]") == [
+        list(row) for row in iter_lengths(prof.monoid, prof.base, end)
+    ]
+    assert all(0 < piece.count("[") <= WRITE_CHUNK for piece in pieces[1:-1])
 
 
 def test_profile_stored_at_its_true_size():
