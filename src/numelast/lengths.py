@@ -8,12 +8,13 @@ last one, directly; there are none past the window (g_k - 1) g_{k-1},
 beyond which both recurrences M(n) = M(n - g_1) + 1 and
 m(n) = m(n - g_k) + 1 hold.  The row scan iter_lengths reads the tables'
 columns of M and m over its range, written from the same breakpoints one
-chunk at a time, by one slice copy per breakpoint and class, and not kept.
+chunk at a time, by one slice copy per breakpoint and class, and not kept;
+iter_row_text writes the same rows as text for the command line.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -171,7 +172,11 @@ def iter_row_text(
     return _row_slices(window_tables(S.generators).columns(lo, hi), head, pair_text)
 
 
-def _row_slices(columns, head: str, pair_text) -> Iterator[str]:
+def _row_slices(
+    columns: Iterable[tuple[int, Sequence[int], Sequence[int]]],
+    head: str,
+    pair_text: Callable[[tuple[int, int]], str],
+) -> Iterator[str]:
     low_digits = ["%03d" % r for r in range(1000)]
     for start, max_col, min_col in columns:
         for i in range(0, len(max_col), WRITE_CHUNK):

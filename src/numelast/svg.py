@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from math import ulp
+from math import nan, ulp
 from operator import add, mul, sub, truediv
 
 from .monoid import WRITE_CHUNK
@@ -13,6 +13,8 @@ from .monoid import WRITE_CHUNK
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 60
+
+_POINT_END = '" r="2" fill="steelblue"/>\n'
 
 
 def _fmt(value: float) -> str:
@@ -94,9 +96,10 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
         texts = dict.fromkeys(chunk)
         for y in texts:
             cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
-            texts[y] = f'{cy:.2f}" r="2" fill="steelblue"/>\n'
+            texts[y] = f"{cy:.2f}{_POINT_END}"
         pieces = ['<circle cx="', "", '" cy="', ""] * len(chunk)
         pieces[1::4] = map(format, cx, repeat(".2f"))
-        pieces[3::4] = map(texts.__getitem__, chunk)
+        # a NaN y equals no key, and its cy is NaN
+        pieces[3::4] = map(texts.get, chunk, repeat(f"{nan:.2f}{_POINT_END}"))
         yield "".join(pieces)
     yield "</svg>\n"

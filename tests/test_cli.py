@@ -17,6 +17,7 @@ import numelast
 from numelast.cli import main
 from numelast.lengths import length_stats_range
 from numelast.monoid import WRITE_CHUNK, WindowTables
+from numelast.svg import scatter_svg
 
 from profile_helpers import replaced, widen_columns, wrap_columns
 
@@ -544,6 +545,14 @@ def test_plot_past_int64_matches_reference(capsys):
         assert f">{lo}</text>" in out and f">{hi}</text>" in out
         # one y value sits mid-axis, as a small one does
         assert kind == "rho" or out.count('cy="300.00"') == 6
+
+
+def test_scatter_svg_matches_reference_on_repeated_and_nan_ys():
+    # cy is formatted once per distinct y of a slice; a NaN y equals no
+    # other float, and still gets its own text
+    ys = [1.0, 2.5, float("nan"), 1.0, -0.0, 0.0, 2.5]
+    points = [(x, ys[x % len(ys)]) for x in range(WRITE_CHUNK + 10)]
+    assert "".join(scatter_svg(points, title="a & b")) == _reference_svg(points, title="a & b")
 
 
 @pytest.mark.parametrize("gens, lo, hi", [
