@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -98,6 +98,16 @@ def _write_output(pieces: Iterable[str], path: str | None) -> int:
     return 0
 
 
+def _json_array(slices: Iterator[str]) -> Iterator[str]:
+    """Rows that each open with a comma, as the JSON array that
+    json.dumps(rows, separators=(",", ":")) writes: the first comma is cut.
+    No slice is kept past its write."""
+    yield "["
+    yield next(slices, ",")[1:]
+    yield from slices
+    yield "]\n"
+
+
 def cmd_stats(args) -> int:
     S, lo, hi = _range(args)
     if args.format == "csv":
@@ -114,9 +124,7 @@ def cmd_stats(args) -> int:
     if args.format == "csv":
         pieces = chain((CSV_HEADER,), slices, ("\n",))
     else:
-        # rows joined by commas, as json.dumps(rows, separators=(",", ":")):
-        # each row opens with one, cut from the first
-        pieces = chain(("[", next(slices, ",")[1:]), slices, ("]\n",))
+        pieces = _json_array(slices)
     return _write_output(pieces, args.output)
 
 

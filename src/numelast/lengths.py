@@ -14,7 +14,7 @@ iter_row_text writes the same rows as text for the command line.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -169,44 +169,63 @@ def iter_row_text(
     a table of 1,000 strings.  The monoid's breakpoints are found, or
     TableTooLarge raised, by this call.
     """
-    return _row_slices(window_tables(S.generators).columns(lo, hi), head, pair_text)
+    tables = window_tables(S.generators)
+    digits = ["%03d" % r for r in range(1000)]
+    slices = (
+        _slice_text(start + i, bigs[i:i + WRITE_CHUNK], smalls[i:i + WRITE_CHUNK],
+                    start + i <= tables.frobenius, head, pair_text, digits)
+        for start, bigs, smalls in tables.columns(lo, hi)
+        for i in range(0, len(bigs), WRITE_CHUNK)
+    )
+    # a slice of gaps alone is empty; no slice's text outlives its write
+    return filter(None, slices)
 
 
-def _row_slices(
-    columns: Iterable[tuple[int, Sequence[int], Sequence[int]]],
+class _PairTexts(dict):
+    """(M, m) -> its row text, made on the first lookup of the pair."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[tuple[int, int]], str]) -> None:
+        self.make = make
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        text = self[pair] = self.make(pair)
+        return text
+
+
+def _slice_text(
+    a: int,
+    bigs: Sequence[int],
+    smalls: Sequence[int],
+    gaps: bool,
     head: str,
     pair_text: Callable[[tuple[int, int]], str],
-) -> Iterator[str]:
-    low_digits = ["%03d" % r for r in range(1000)]
-    for start, max_col, min_col in columns:
-        for i in range(0, len(max_col), WRITE_CHUNK):
-            bigs, smalls = max_col[i:i + WRITE_CHUNK], min_col[i:i + WRITE_CHUNK]
-            a, b = start + i, start + i + len(bigs)
-            heads: list[str] = []
-            lows: list[str] = []
-            for block in range(a // 1000, (b + 999) // 1000):
-                c, d = max(a, 1000 * block), min(b, 1000 * block + 1000)
-                if block:
-                    heads += [head + str(block)] * (d - c)
-                    lows += low_digits[c - 1000 * block:d - 1000 * block]
-                else:  # below 1,000, n is its own text
-                    heads += [head] * (d - c)
-                    lows += map(str, range(c, d))
-            texts = dict.fromkeys(zip(bigs, smalls))
-            if (-1, -1) in texts:  # the gaps, outside the monoid, have no row
-                del texts[-1, -1]
-                if not texts:
-                    continue
-                kept = [small >= 0 for small in smalls]
-                heads, lows = list(compress(heads, kept)), list(compress(lows, kept))
-                bigs, smalls = compress(bigs, kept), compress(smalls, kept)
-            for pair in texts:
-                texts[pair] = pair_text(pair)
-            pieces = [head] * (3 * len(heads))
-            pieces[0::3] = heads
-            pieces[1::3] = lows
-            pieces[2::3] = map(texts.__getitem__, zip(bigs, smalls))
-            yield "".join(pieces)
+    digits: list[str],
+) -> str:
+    """The rows of iter_row_text for n = a, a + 1, ..., bigs and smalls
+    holding M(n) and m(n), or -1 at a gap, which has no row; only a slice
+    with ``gaps`` set is searched for them."""
+    b = a + len(bigs)
+    heads: list[str] = []
+    lows: list[str] = []
+    for block in range(a // 1000, (b + 999) // 1000):
+        c, d = max(a, 1000 * block), min(b, 1000 * block + 1000)
+        if block:
+            heads += [head + str(block)] * (d - c)
+            lows += digits[c - 1000 * block:d - 1000 * block]
+        else:  # below 1,000, n is its own text
+            heads += [head] * (d - c)
+            lows += map(str, range(c, d))
+    if gaps:
+        kept = [small >= 0 for small in smalls]
+        heads, lows = list(compress(heads, kept)), list(compress(lows, kept))
+        bigs, smalls = compress(bigs, kept), compress(smalls, kept)
+    pieces = [head] * (3 * len(heads))
+    pieces[0::3] = heads
+    pieces[1::3] = lows
+    pieces[2::3] = map(_PairTexts(pair_text).__getitem__, zip(bigs, smalls))
+    return "".join(pieces)
 
 
 def length_stats_range(S: NumericalMonoid, lo: int, hi: int) -> list[LengthStats]:
