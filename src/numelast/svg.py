@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from math import nan, ulp
 from operator import add, mul, sub, truediv
@@ -51,11 +51,6 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
         pad = max(0.5, ulp(y_lo))
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    span_x = x_hi - x_lo
-    span_y = y_hi - y_lo
-    inner_w = WIDTH - 2 * MARGIN
-    inner_h = HEIGHT - 2 * MARGIN
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
@@ -89,17 +84,26 @@ def scatter_svg(points: Iterable[tuple[int, float]], *, title: str = "") -> Iter
     yield "\n".join(lines) + "\n"
     shift = x_lo - x0  # an offset minus shift is x - x_lo
     for i in range(0, len(xs), WRITE_CHUNK):
-        # cx = MARGIN + (dx - shift) / span_x * inner_w, one step per map
-        cx = map(add, repeat(MARGIN), map(mul, map(truediv, map(
-            sub, xs[i:i + WRITE_CHUNK], repeat(shift)), repeat(span_x)), repeat(inner_w)))
-        chunk = ys[i:i + WRITE_CHUNK]
-        texts = dict.fromkeys(chunk)
-        for y in texts:
-            cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
-            texts[y] = f"{cy:.2f}{_POINT_END}"
-        pieces = ['<circle cx="', "", '" cy="', ""] * len(chunk)
-        pieces[1::4] = map(format, cx, repeat(".2f"))
-        # a NaN y equals no key, and its cy is NaN
-        pieces[3::4] = map(texts.get, chunk, repeat(f"{nan:.2f}{_POINT_END}"))
-        yield "".join(pieces)
+        yield _points(xs[i:i + WRITE_CHUNK], ys[i:i + WRITE_CHUNK], shift, x_hi - x_lo, y_lo, y_hi - y_lo)
     yield "</svg>\n"
+
+
+def _points(
+    dxs: Sequence[int], ys: Sequence[float], shift: int, span_x: int, y_lo: float, span_y: float
+) -> str:
+    """The <circle> lines of the points at x offsets dxs and heights ys, as
+    one string; its temporaries are gone before the string is written."""
+    inner_w = WIDTH - 2 * MARGIN
+    inner_h = HEIGHT - 2 * MARGIN
+    # cx = MARGIN + (dx - shift) / span_x * inner_w, one step per map
+    cx = map(add, repeat(MARGIN), map(mul, map(truediv, map(
+        sub, dxs, repeat(shift)), repeat(span_x)), repeat(inner_w)))
+    texts = dict.fromkeys(ys)
+    for y in texts:
+        cy = HEIGHT - MARGIN - (y - y_lo) / span_y * inner_h
+        texts[y] = f"{cy:.2f}{_POINT_END}"
+    pieces = ['<circle cx="', "", '" cy="', ""] * len(ys)
+    pieces[1::4] = map(format, cx, repeat(".2f"))
+    # a NaN y equals no key, and its cy is NaN
+    pieces[3::4] = map(texts.get, ys, repeat(f"{nan:.2f}{_POINT_END}"))
+    return "".join(pieces)
